@@ -81,6 +81,16 @@ def test_merge_tree_at_tbpoint_scale(benchmark):
     assert len(tree.merges) == 1_499
 
 
+def test_merge_tree_duplicate_heavy(benchmark):
+    """gramschmidt's TBPoint input: 6411 kernels, one feature, 21 distinct
+    values, so nearly every merge is a distance-0 tie."""
+    rng = np.random.default_rng(0)
+    values = rng.uniform(-1.0, 1.0, size=21)
+    points = values[rng.integers(0, 21, size=6_411)][:, None]
+    tree = benchmark.pedantic(build_merge_tree, args=(points,), rounds=3)
+    assert len(tree.merges) == 6_410
+
+
 # ---------------------------------------------------------------------------
 # Execution backends and the on-disk run cache.  These record wall-clock
 # (one-shot, like the artifact-regeneration benchmarks) rather than

@@ -5,7 +5,9 @@ with hierarchical clustering cut at a hand-tuned distance threshold.  The
 implementation here builds the full merge tree once (O(n^2) memory for the
 distance matrix, O(n^2) time via cached row minima) and can then be cut at
 any number of thresholds cheaply, which is what TBPoint's 20-threshold
-sweep needs.
+sweep needs.  The time bound holds on duplicate-heavy inputs too: a cached
+row minimum is rescanned only when a merge may have moved the row's first
+argmin, not on every distance-0 tie.
 
 The O(n^2) distance matrix is exactly the scalability wall the paper
 highlights: the implementation refuses inputs above ``max_points`` to make
@@ -37,7 +39,9 @@ class MergeTree:
     ``merges[t] = (i, j, distance)`` records that original-cluster roots
     ``i`` and ``j`` merged (into ``i``) at the given linkage distance, in
     non-decreasing distance order for single/average/complete linkage on
-    a fixed dataset.
+    a fixed dataset.  Both ``i`` and ``j`` are live roots when they merge
+    and ``i`` stays the root afterwards, so every merge joins two
+    clusters and cutting the tree is a prefix of ``merges``.
     """
 
     n_points: int
@@ -45,35 +49,32 @@ class MergeTree:
 
     def labels_at_threshold(self, threshold: float) -> np.ndarray:
         """Cluster labels obtained by merging while distance <= threshold."""
-        return self._replay(lambda dist, _remaining: dist <= threshold)
+        n_merges = next(
+            (t for t, (_, _, dist) in enumerate(self.merges) if not dist <= threshold),
+            len(self.merges),
+        )
+        return self._replay(n_merges)
 
     def labels_at_k(self, n_clusters: int) -> np.ndarray:
         """Cluster labels obtained by merging down to ``n_clusters``."""
         if n_clusters < 1:
             raise ValueError("n_clusters must be >= 1")
-        return self._replay(lambda _dist, remaining: remaining > n_clusters)
+        return self._replay(max(0, self.n_points - n_clusters))
 
-    def _replay(self, keep_merging) -> np.ndarray:
+    def _replay(self, n_merges: int) -> np.ndarray:
+        """Labels after the first ``n_merges`` merges, numbered by the
+        ascending index of each cluster's root."""
         parent = np.arange(self.n_points)
-
-        def find(node: int) -> int:
-            root = node
-            while parent[root] != root:
-                root = parent[root]
-            while parent[node] != root:  # path compression
-                parent[node], node = root, parent[node]
-            return root
-
-        remaining = self.n_points
-        for i, j, dist in self.merges:
-            if not keep_merging(dist, remaining):
+        if n_merges:
+            pairs = np.array([(i, j) for i, j, _ in self.merges[:n_merges]])
+            parent[pairs[:, 1]] = pairs[:, 0]
+        # Pointer jumping: every node reaches its root in O(log depth) passes.
+        while True:
+            grandparent = parent[parent]
+            if np.array_equal(grandparent, parent):
                 break
-            root_i, root_j = find(i), find(j)
-            if root_i != root_j:
-                parent[root_j] = root_i
-                remaining -= 1
-        roots = np.fromiter((find(k) for k in range(self.n_points)), dtype=np.intp)
-        _, labels = np.unique(roots, return_inverse=True)
+            parent = grandparent
+        _, labels = np.unique(parent, return_inverse=True)
         return labels
 
 
@@ -84,8 +85,13 @@ def build_merge_tree(
 ) -> MergeTree:
     """Agglomerate ``points`` all the way down to one cluster.
 
-    Runs in O(n^2) amortized time using cached per-row minima over the
-    (condensed, in-place updated) distance matrix.
+    Runs in O(n^2) time using cached per-row minima over the in-place
+    updated distance matrix.  Each merge changes only columns ``i`` and
+    ``j`` of the other rows, so a cached minimum is always the row's true
+    minimum; a per-row flag records when its cached index is also the
+    row's *first* argmin.  That invariant settles distance ties (which
+    dominate duplicate-heavy inputs) without a full-row rescan while
+    reproducing exactly the merges a rescan-on-every-tie loop produces.
     """
     points = require_finite(points, "build_merge_tree")
     if points.ndim != 2:
@@ -104,18 +110,24 @@ def build_merge_tree(
     if n == 1:
         return MergeTree(n_points=1, merges=())
 
-    # Full pairwise distance matrix with inf diagonal.
+    # Full pairwise distance matrix with inf diagonal, built in place so
+    # the n x n Gram product is the only n^2 buffer ever allocated.
     sq_norms = np.sum(points**2, axis=1)
-    dist = sq_norms[:, None] - 2.0 * (points @ points.T) + sq_norms[None, :]
+    dist = points @ points.T
+    dist *= -2.0
+    dist += sq_norms[:, None]
+    dist += sq_norms[None, :]
     np.maximum(dist, 0.0, out=dist)
-    dist = np.sqrt(dist)
+    np.sqrt(dist, out=dist)
     np.fill_diagonal(dist, np.inf)
 
     active = np.ones(n, dtype=bool)
     sizes = np.ones(n, dtype=np.float64)
-    # Cached minimum of each active row (value and column index).
+    # Cached minimum of each active row (value and column index), and
+    # whether that index is known to be the row's *first* argmin.
     row_min_val = dist.min(axis=1)
     row_min_idx = dist.argmin(axis=1)
+    row_min_first = np.ones(n, dtype=bool)
     merges: list[tuple[int, int, float]] = []
 
     for _ in range(n - 1):
@@ -145,20 +157,42 @@ def build_merge_tree(
         sizes[i] += sizes[j]
         active[j] = False
 
-        # Refresh cached minima: row i changed entirely; any row whose
-        # cached minimum pointed at i or j must be rescanned.
+        # Refresh cached minima.  Row i changed entirely and is rescanned.
         row_min_val[i] = merged.min()
         row_min_idx[i] = int(merged.argmin())
+        row_min_first[i] = True
+        # Any other row only changed in columns i (now ``merged``) and j
+        # (now inf).  A row whose cached minimum pointed at i or j would
+        # rescan to its first argmin; that is provably column i when the
+        # merged distance undercuts the old minimum, or ties it with no
+        # earlier column holding the same value (the cached index was the
+        # first argmin and is no earlier than i).
         stale = active & ((row_min_idx == i) | (row_min_idx == j))
         stale[i] = False
-        for row in np.flatnonzero(stale):
+        stale_rows = np.flatnonzero(stale)
+        old_val = row_min_val[stale_rows]
+        new_val = merged[stale_rows]
+        keeps_i = (new_val < old_val) | (
+            (new_val == old_val)
+            & row_min_first[stale_rows]
+            & (row_min_idx[stale_rows] >= i)
+        )
+        row_min_val[stale_rows[keeps_i]] = new_val[keeps_i]
+        row_min_idx[stale_rows[keeps_i]] = i
+        for row in stale_rows[~keeps_i]:
             row_min_val[row] = dist[row, :].min()
             row_min_idx[row] = int(dist[row, :].argmin())
+        row_min_first[stale_rows] = True
+        # A tie at column i ahead of the cached index leaves the cache on
+        # a later column (the update below is strict), so it is no longer
+        # the first argmin.
+        row_min_first[(merged == row_min_val) & (row_min_idx > i)] = False
         # Rows for which the new row i is now closer than their cache.
         improved = active & (merged < row_min_val)
         improved[i] = False
         row_min_val[improved] = merged[improved]
         row_min_idx[improved] = i
+        row_min_first[improved] = True
 
     return MergeTree(n_points=n, merges=tuple(merges))
 

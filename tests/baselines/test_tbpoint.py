@@ -72,6 +72,43 @@ class TestSelectTBPoint:
             select_tbpoint("app", [])
 
 
+class TestPinnedCorpusSelections:
+    """Duplicate-heavy corpus apps, where nearly every merge is a
+    distance-0 tie: gramschmidt's feature matrix is 6411x1 with 21
+    distinct rows, fdtd2d's is 1500x2 with 3.  The expected selections
+    were recorded from the rescan-on-every-tie merge loop."""
+
+    @pytest.mark.parametrize(
+        ("name", "expected"),
+        [
+            (
+                "gramschmidt",
+                (
+                    "0.16", 4, (0, 2959, 1613, 4913),
+                    (2520, 1754, 1637, 500), "0.033134995746720936",
+                ),
+            ),
+            (
+                "fdtd2d",
+                (
+                    "0.01", 3, (0, 1, 2), (500, 500, 500),
+                    "1.2396336535117093e-16",
+                ),
+            ),
+        ],
+    )
+    def test_selection_is_pinned(self, name, expected):
+        launches = get_workload(name).build("volta")
+        selection = select_tbpoint(name, _profiles(launches))
+        assert (
+            repr(selection.threshold),
+            selection.n_clusters,
+            selection.representative_launch_ids,
+            selection.weights,
+            repr(selection.projection_error),
+        ) == expected
+
+
 class TestSimulateTBPoint:
     def test_projection_close_to_full_sim(self, faithful_simulator):
         launches = _two_family_app()
