@@ -17,8 +17,8 @@ client beyond latency:
   Fault-carrying jobs skip the probe (and get salted ids): an injected
   fault must actually reach the backend, not be satisfied from cache.
 
-* **Batching.**  The dispatcher lingers briefly to coalesce a burst of
-  submissions into one :meth:`~repro.analysis.harness.
+* **Batching.**  In in-process mode the dispatcher lingers briefly to
+  coalesce a burst of submissions into one :meth:`~repro.analysis.harness.
   EvaluationHarness.evaluate_cells` fan-out, amortizing pool dispatch
   overhead.  Jobs still complete individually, as soon as their cell's
   :class:`~repro.sim.parallel.TaskOutcome` is decided, via the

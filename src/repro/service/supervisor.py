@@ -8,7 +8,9 @@ workers' lives:
 * **Dispatch** — an idle worker pulls the next job from the scheduler's
   fair queue; each worker holds at most one job at a time, so in-flight
   accounting is exact and a dead worker orphans exactly the jobs it was
-  visibly running.
+  visibly running.  Dispatch is event-driven: a worker that frees up,
+  is (re)spawned, or is resurrected from draining wakes the dispatcher,
+  so it gets the next queued job immediately rather than on a poll.
 * **Liveness** — workers heartbeat on a side channel; a worker whose
   process exited *or* whose heartbeat went stale (hung) is declared
   dead and killed.
@@ -252,6 +254,9 @@ class WorkerSupervisor:
         self._events = self._ctx.Queue()
         self._slots = [_WorkerSlot(worker_id=i) for i in range(workers)]
         self._lock = threading.RLock()
+        #: Signalled (under ``_lock``) by every transition that can make
+        #: a slot dispatchable, and by ``stop()``.
+        self._dispatchable = threading.Condition(self._lock)
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
         self._started = False
@@ -302,8 +307,9 @@ class WorkerSupervisor:
     def stop(self, *, kill: bool = False) -> None:
         """Stop the fleet.  Graceful by default (sentinel + join); with
         ``kill=True`` workers are terminated immediately."""
-        self._stop.set()
         with self._lock:
+            self._stop.set()
+            self._dispatchable.notify_all()
             slots = list(self._slots)
         for slot in slots:
             process = slot.process
@@ -386,6 +392,7 @@ class WorkerSupervisor:
         slot.process = process
         slot.pid = process.pid
         slot.respawn_at = 0.0
+        self._dispatchable.notify()
 
     # ------------------------------------------------------------------
     # Elastic scaling (driven by repro.service.autoscaler)
@@ -409,6 +416,7 @@ class WorkerSupervisor:
                     continue
                 slot.draining = False
                 slot.drain_deadline = 0.0
+                self._dispatchable.notify()
                 added += 1
             while added < count:
                 slot = _WorkerSlot(worker_id=len(self._slots))
@@ -583,20 +591,26 @@ class WorkerSupervisor:
 
     def _dispatch_loop(self) -> None:
         scheduler = self.scheduler
-        while not self._stop.is_set():
+        while True:
             with self._lock:
+                # Sleep until a slot frees up, spawns or is resurrected;
+                # the timeout only backstops a missed transition.
                 idle = self._idle_slots_locked()
-            if not idle:
-                self._stop.wait(0.05)
-                continue
+                while not idle and not self._stop.is_set():
+                    self._dispatchable.wait(self.heartbeat_interval)
+                    idle = self._idle_slots_locked()
+                if self._stop.is_set():
+                    return
             batch = scheduler.queue.take_batch(
-                len(idle), linger=0.0, timeout=0.2
+                len(idle), linger=0.0, timeout=self.heartbeat_interval
             )
             if not batch:
                 continue
             leftovers: list[JobRecord] = []
             with self._lock:
-                idle = self._idle_slots_locked()
+                # After stop() a worker's task queue may already hold its
+                # exit sentinel: a job sent now would never run.
+                idle = [] if self._stop.is_set() else self._idle_slots_locked()
                 for record in batch:
                     if not idle:
                         leftovers.append(record)
@@ -610,8 +624,8 @@ class WorkerSupervisor:
                     except Exception:
                         slot.current = None
                         leftovers.append(record)
-            # Slots vanished between sizing and assignment: not a loss,
-            # the jobs go back to the front of the line.
+            # Slots vanished (or the fleet stopped) between sizing and
+            # assignment: not a loss, the jobs go back to the front.
             for record in leftovers:
                 scheduler.requeue(record, count=False)
 
@@ -664,6 +678,7 @@ class WorkerSupervisor:
             if slot.generation == generation:
                 if slot.current is not None and slot.current.job_id == job_id:
                     slot.current = None
+                    self._dispatchable.notify()
                 slot.completed += 1
                 slot.consecutive_deaths = 0
                 slot.last_heartbeat = time.monotonic()

@@ -161,6 +161,76 @@ class TestWorkerCrashRecovery:
             scheduler.close()
 
 
+class TestEventDrivenDispatch:
+    """A worker that frees up gets the next queued job at once, and a
+    stopping fleet never strands a job in ``running``."""
+
+    CELLS = (
+        "gauss_208", "gauss_mat4", "gauss_s16", "gauss_s64", "gauss_s256",
+        "hots_512", "nn", "pathfinder", "cutcp", "histo",
+    )
+
+    def test_freed_worker_is_dispatched_to_immediately(self, tmp_path):
+        harness = EvaluationHarness(backend="serial", cache_dir=tmp_path / "cache")
+        supervisor = WorkerSupervisor(harness, workers=1)
+        scheduler = Scheduler(harness, supervisor=supervisor)
+        scheduler.start()
+        try:
+            records = [
+                scheduler.submit(JobRequest(workload=name, method="silicon"))[0]
+                for name in self.CELLS
+            ]
+            for record in records:
+                _wait_terminal(record)
+            assert all(record.state == "done" for record in records)
+            ordered = sorted(records, key=lambda record: record.started_us)
+            gaps_ms = sorted(
+                (nxt.started_us - prev.submitted_us) / 1000.0 - prev.latency_ms
+                for prev, nxt in zip(ordered, ordered[1:])
+            )
+            median_gap = gaps_ms[len(gaps_ms) // 2]
+            assert median_gap < 20.0, gaps_ms
+
+            dispatcher = supervisor._threads[0]
+            assert dispatcher.name == "pka-fleet-dispatch"
+            started = time.monotonic()
+            supervisor.stop()
+            assert not dispatcher.is_alive()
+            assert time.monotonic() - started < 1.0
+        finally:
+            scheduler.close()
+
+    def test_stop_never_strands_a_taken_job_running(self, tmp_path):
+        """A job the dispatcher takes after ``stop()`` has sent the exit
+        sentinels goes back to the queue instead of to a dying worker."""
+        harness = EvaluationHarness(backend="serial", cache_dir=tmp_path / "cache")
+        supervisor = WorkerSupervisor(harness, workers=1)
+        scheduler = Scheduler(harness, supervisor=supervisor)
+        take_batch = scheduler.queue.take_batch
+
+        def take_after_stop(*args, **kwargs):
+            # Widen the window: return from the take only once stop()
+            # has begun, as a descheduled dispatcher thread would.
+            supervisor._stop.wait(10.0)
+            return take_batch(*args, **kwargs)
+
+        scheduler.queue.take_batch = take_after_stop
+        scheduler.start()
+        try:
+            record, _ = scheduler.submit(
+                JobRequest(workload=WORKLOAD, method="silicon")
+            )
+            dispatcher = supervisor._threads[0]
+            supervisor.stop()
+            assert not dispatcher.is_alive()
+            assert record.state == "queued"
+            assert record.started_us is None
+            assert record.redispatches == 0
+        finally:
+            scheduler.close()
+        assert record.state == "cancelled"
+
+
 class TestCircuitBreaker:
     def test_all_workers_down_serves_warm_sheds_cold(self, tmp_path):
         cache_dir = tmp_path / "cache"
