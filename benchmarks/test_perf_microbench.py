@@ -2,10 +2,10 @@
 
 These are genuine multi-round pytest-benchmark measurements (everything
 else in this suite times one-shot artifact regeneration): the DES engine,
-the windowed engine, k-means clustering at PKS scale, the TBPoint merge
-tree, and the analytic silicon model — plus wall-clock records for the
-execution backends (serial versus process pool) and the on-disk run
-cache (cold versus warm corpus sweep).
+the windowed engine, a PKP-monitored kernel, k-means clustering at PKS
+scale, the TBPoint merge tree, and the analytic silicon model — plus
+wall-clock records for the execution backends (serial versus process
+pool) and the on-disk run cache (cold versus warm corpus sweep).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import EvaluationHarness
+from repro.core import PKPConfig, run_pkp
 from repro.gpu import InstructionMix, KernelLaunch, KernelSpec, VOLTA_V100
 from repro.mlkit import KMeans, build_merge_tree
 from repro.sim import (
@@ -51,6 +52,16 @@ def test_engine_windowed_path_2k_blocks(benchmark):
         simulate_kernel, launch, VOLTA_V100, collect_series=True
     )
     assert result.samples
+
+
+def test_pkp_monitored_kernel(benchmark):
+    """PKP's stop path: a multi-wave regular kernel under the default
+    stability monitor, which fires a little past the first wave."""
+    launch = _launch(20_000)
+    simulator = Simulator(VOLTA_V100)
+    projection = benchmark(run_pkp, simulator, launch, PKPConfig())
+    assert projection.stopped_early
+    assert projection.result.blocks_finished < launch.grid_blocks
 
 
 def test_analytic_model_is_fast(benchmark):

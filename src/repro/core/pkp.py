@@ -15,6 +15,7 @@ finished after ``c`` cycles, the projected total is ``c * g / f``.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -30,6 +31,47 @@ from repro.sim.engine import KernelSimResult, WindowSample
 from repro.sim.simulator import Simulator
 
 __all__ = ["IPCStabilityMonitor", "PKPProjection", "project_result", "run_pkp"]
+
+
+# numpy's unroll width and block size in its pairwise summation.
+_PAIRWISE_UNROLL = 8
+_PAIRWISE_BLOCK = 128
+
+
+def _pairwise_sum(values: list[float]) -> float:
+    """Sum ``values`` in numpy's pairwise order.
+
+    A float-for-float copy of numpy's ``pairwise_sum`` (the kernel behind
+    ``np.add.reduce`` on contiguous float64): short runs are a left fold
+    from ``-0.0``; up to one block, eight strided accumulators combined as
+    a balanced tree, then the leftover tail; longer runs recurse on halves
+    split at a multiple of the unroll width.
+    """
+    n = len(values)
+    if n < _PAIRWISE_UNROLL:
+        total = -0.0
+        for value in values:
+            total += value
+        return total
+    if n <= _PAIRWISE_BLOCK:
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+        body = n - n % _PAIRWISE_UNROLL
+        for index in range(8, body, 8):
+            r0 += values[index]
+            r1 += values[index + 1]
+            r2 += values[index + 2]
+            r3 += values[index + 3]
+            r4 += values[index + 4]
+            r5 += values[index + 5]
+            r6 += values[index + 6]
+            r7 += values[index + 7]
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for value in values[body:]:
+            total += value
+        return total
+    half = n // 2
+    half -= half % _PAIRWISE_UNROLL
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
 
 
 class IPCStabilityMonitor:
@@ -72,15 +114,26 @@ class IPCStabilityMonitor:
         return self.config.enforce_wave and self.grid_blocks >= self.wave_size
 
     def relative_std(self) -> float | None:
-        """Rolling std/mean of IPC, or None until the window fills."""
-        if len(self._window) < self.config.rolling_samples:
+        """Rolling std/mean of IPC, or None until the window fills.
+
+        Runs once per simulated window, so it avoids numpy's per-call
+        overhead on a handful of samples, yet returns the bitwise value of
+        ``np.std(w) / np.mean(w)``: both sums use :func:`_pairwise_sum`,
+        which mirrors numpy's pairwise summation, and the remaining
+        operations (``/ n``, ``(x - mean) * (x - mean)``, sqrt, the final
+        divide) are single IEEE-754 operations either way.  The property
+        test in ``tests/core/test_pkp.py`` guards the equality.
+        """
+        window = self._window
+        n = len(window)
+        if n < window.maxlen:
             return None
-        values = np.asarray(self._window)
-        mean = float(values.mean())
-        if not np.isfinite(mean) or mean <= 0.0:
+        mean = _pairwise_sum(list(window)) / n
+        if not math.isfinite(mean) or mean <= 0.0:
             return None
-        spread = float(values.std() / mean)
-        return spread if np.isfinite(spread) else None
+        squares = [(value - mean) * (value - mean) for value in window]
+        spread = math.sqrt(_pairwise_sum(squares) / n) / mean
+        return spread if math.isfinite(spread) else None
 
     def observe(self, sample: WindowSample) -> bool:
         """Ingest one window sample; True stops the simulation.
@@ -94,7 +147,7 @@ class IPCStabilityMonitor:
         sees PKP gains concentrated in the regular, long-running apps.
         """
         self.windows_observed += 1
-        if not np.isfinite(sample.ipc):
+        if not math.isfinite(sample.ipc):
             # A poisoned window sample must never end the simulation early;
             # treat it as maximal instability and restart the streak.
             self._window.clear()

@@ -134,9 +134,13 @@ def finite_issue(
     source: str, check: str, name: str, value: float
 ) -> ValidationIssue | None:
     """An error issue when ``value`` is NaN or infinite, else None."""
-    if isinstance(value, (int, float)) and math.isfinite(value):
+    if _is_finite(value):
         return None
     return ValidationIssue(source, check, f"{name} is non-finite ({value!r})")
+
+
+def _is_finite(value: object) -> bool:
+    return isinstance(value, (int, float)) and math.isfinite(value)
 
 
 def range_issue(
@@ -231,22 +235,36 @@ def _spec_defaults() -> dict[str, float]:
     }
 
 
+def _non_finite_fields(spec) -> list[tuple[str, object]]:
+    """``(field, value)`` of every spec and mix field ``finite_issue`` flags."""
+    named = [(name, getattr(spec, name)) for name in _SPEC_FLOAT_FIELDS]
+    named += [(f"mix.{name}", value) for name, value in spec.mix.__dict__.items()]
+    return [(name, value) for name, value in named if not _is_finite(value)]
+
+
 def launch_issues(source: str, launches: Iterable) -> list[ValidationIssue]:
-    """Finiteness checks over the spec + mix fields of every launch."""
+    """Finiteness checks over the spec + mix fields of every launch.
+
+    Launches of one kernel share a spec object, so each distinct spec is
+    checked once; a launch's messages are built only when its spec fails.
+    """
     issues: list[ValidationIssue] = []
+    # id(spec) -> (spec, its non-finite fields); holding the spec keeps
+    # its id from being reused while ``launches`` is consumed lazily.
+    checked: dict[int, tuple[object, list[tuple[str, object]]]] = {}
     for launch in launches:
         spec = launch.spec
+        entry = checked.get(id(spec))
+        if entry is None:
+            entry = checked[id(spec)] = (spec, _non_finite_fields(spec))
+        bad_fields = entry[1]
+        if not bad_fields:
+            continue
         where = f"launch {launch.launch_id} ({spec.name})"
-        for name in _SPEC_FLOAT_FIELDS:
-            bad = finite_issue(
-                source, "launch_finite", f"{where}.{name}", getattr(spec, name)
+        for name, value in bad_fields:
+            issues.append(
+                finite_issue(source, "launch_finite", f"{where}.{name}", value)
             )
-            if bad is not None:
-                issues.append(bad)
-        for name, value in spec.mix.__dict__.items():
-            bad = finite_issue(source, "launch_finite", f"{where}.mix.{name}", value)
-            if bad is not None:
-                issues.append(bad)
     return issues
 
 

@@ -89,11 +89,15 @@ def _isa_factor(signature: int, generation: str) -> float:
 
 def collect_counters(launch: KernelLaunch, generation: str = "volta") -> tuple[float, ...]:
     """Derive the Table-2 counters of one launch from its kernel spec."""
+    return _counters(launch, _isa_factor(launch.spec.signature(), generation))
+
+
+def _counters(launch: KernelLaunch, isa: float) -> tuple[float, ...]:
+    """The Table-2 counters of one launch under ISA skew factor ``isa``."""
     spec = launch.spec
     threads = launch.total_threads
     warps = threads / 32.0
     efficiency = spec.divergence_efficiency
-    isa = _isa_factor(spec.signature(), generation)
 
     def warp_insts(per_thread: float) -> float:
         """Warp-level executed-instruction count for one opcode class."""
@@ -153,15 +157,22 @@ class DetailedProfiler:
     ) -> list[DetailedProfile]:
         """Collect detailed profiles for the first ``limit`` launches."""
         generation = self.silicon.gpu.generation
+        # One ISA skew per (signature, generation): launches of one kernel
+        # share it, and seeding a generator per launch would dominate.
+        isa_factors: dict[int, float] = {}
         profiles: list[DetailedProfile] = []
         for index, launch in enumerate(launches):
             if limit is not None and index >= limit:
                 break
+            signature = launch.spec.signature()
+            isa = isa_factors.get(signature)
+            if isa is None:
+                isa = isa_factors[signature] = _isa_factor(signature, generation)
             profiles.append(
                 DetailedProfile(
                     launch_id=launch.launch_id,
                     kernel_name=launch.spec.name,
-                    counters=collect_counters(launch, generation),
+                    counters=_counters(launch, isa),
                     cycles=self.silicon.kernel_cycles(launch),
                 )
             )

@@ -28,12 +28,20 @@ so ``block_durations`` can produce any half-open block range exactly —
 the same values whether the caller asks for the whole grid or for one
 shard of it.  Chunk 0 keeps the historical seed, so grids that fit in a
 single chunk reproduce the exact streams of the original implementation.
+
+The windowed path's own noise streams (IPC wander and jitter, L2 miss
+rate) are drawn in blocks of ``_WINDOW_DRAW_BLOCK`` windows, together
+with the vectorized wander amplitudes; a block yields bitwise the
+stream that one scalar draw and one ``np.exp`` per window would, so the
+block size never shows in a result.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from typing import TYPE_CHECKING, Callable, Protocol
 
 import numpy as np
@@ -66,6 +74,10 @@ DEFAULT_WINDOW_CYCLES = 500.0
 # block count, deliberately independent of the GPU: the duration stream
 # of a kernel must not change with the architecture it runs on.
 DURATION_CHUNK_BLOCKS = 65_536
+
+# The windowed path draws its noise streams and wander amplitudes this
+# many windows at a time.
+_WINDOW_DRAW_BLOCK = 256
 
 _SEED_MOD = 2**63
 # Odd 64-bit golden-ratio stride decorrelates per-chunk seeds.
@@ -400,14 +412,12 @@ def _run_windowed(
     bytes_per_block = perf.memory.dram_bytes_per_block
     base_miss = (1.0 - perf.memory.l2_hit_rate) * 100.0
     peak_dram = gpu.dram_bytes_per_cycle
-    miss_rng = np.random.default_rng(launch.spec.signature() % 2**63)
     # Windowed IPC is bursty in proportion to the kernel's irregularity:
     # memory bursts, instruction replays and uneven intra-block progress
     # show up as window-to-window jitter that the uniform-rate attribution
     # would otherwise smooth away.  This is the signal PKP's stability
     # detector actually contends with (Figure 5b's noisy BFS trace).
     ipc_noise_sigma = 0.45 * launch.spec.duration_cv
-    noise_rng = np.random.default_rng((launch.spec.signature() * 31 + 7) % 2**63)
     # On top of white jitter, IPC *wanders* at low frequency while blocks
     # work through their phases (cache warm-up, loop progression, DRAM row
     # locality shifts); the wander dies out over roughly one block
@@ -420,6 +430,13 @@ def _run_windowed(
     wander_amp0 = 0.12
     first_wave = durations[: min(slots, len(durations))]
     block_lifetime = float(first_wave.mean()) if len(first_wave) else 1.0
+    draws = _window_draws(
+        launch.spec.signature(),
+        ipc_noise_sigma > 0,
+        window_cycles,
+        wander_amp0,
+        block_lifetime,
+    )
 
     # Slot state: the block currently resident on each slot and its
     # uniform retire rates; the heap holds (completion_cycle, slot).
@@ -458,20 +475,17 @@ def _run_windowed(
             total_bytes += byte_rate * elapsed
             now = window_end
             observed_ipc = win_insts / window_cycles
-            amp = wander_amp0 * np.exp(-3.0 * now / block_lifetime)
-            wander = wander_rho * wander + amp * float(noise_rng.standard_normal())
+            amp, wander_draw, noise_draw, miss_draw = next(draws)
+            wander = wander_rho * wander + amp * wander_draw
             observed_ipc *= 1.0 + wander
             if ipc_noise_sigma > 0:
-                observed_ipc *= 1.0 + ipc_noise_sigma * float(
-                    noise_rng.standard_normal()
-                )
+                observed_ipc *= 1.0 + ipc_noise_sigma * noise_draw
             observed_ipc = max(0.0, observed_ipc)
             sample = WindowSample(
                 cycle=window_end,
                 ipc=observed_ipc,
                 l2_miss_rate=min(
-                    100.0,
-                    max(0.0, base_miss * (1.0 + 0.04 * miss_rng.standard_normal())),
+                    100.0, max(0.0, base_miss * (1.0 + 0.04 * miss_draw))
                 ),
                 dram_util=min(100.0, 100.0 * win_bytes / (window_cycles * peak_dram)),
                 blocks_finished=finished,
@@ -521,6 +535,47 @@ def _run_windowed(
         stopped_early=stopped,
         samples=tuple(samples),
     )
+
+
+def _window_draws(
+    signature: int,
+    noisy: bool,
+    window_cycles: float,
+    wander_amp0: float,
+    block_lifetime: float,
+) -> Iterator[tuple[float, float, float, float]]:
+    """Per-window ``(amp, wander_draw, noise_draw, miss_draw)``, in order.
+
+    ``amp`` is the wander amplitude ``wander_amp0 * exp(-3 t / lifetime)``
+    at the window's end cycle ``t``; the draws are standard normals from
+    the kernel's two seeded streams.  Each window consumes the wander draw
+    and then, for a ``noisy`` kernel, the IPC jitter draw from the noise
+    stream (a quiet kernel's ``noise_draw`` is 0.0 and consumes nothing).
+
+    Values are produced ``_WINDOW_DRAW_BLOCK`` windows at a time, bitwise
+    equal to per-window scalar draws: ``standard_normal(k)`` yields exactly
+    the stream of ``k`` scalar calls, the window ends are built by the same
+    repeated ``+= window_cycles`` as the event loop's, and the vectorized
+    ``np.exp`` rounds each element as the scalar call does (``math.exp``
+    does not).
+    """
+    miss_rng = np.random.default_rng(signature % 2**63)
+    noise_rng = np.random.default_rng((signature * 31 + 7) % 2**63)
+    per_window = 2 if noisy else 1
+    window_end = window_cycles
+    while True:
+        steps = repeat(window_cycles, _WINDOW_DRAW_BLOCK - 1)
+        ends = list(accumulate(steps, initial=window_end))
+        window_end = ends[-1] + window_cycles
+        amps = wander_amp0 * np.exp(
+            -3.0 * np.array(ends, dtype=float) / block_lifetime
+        )
+        noise = noise_rng.standard_normal(_WINDOW_DRAW_BLOCK * per_window).tolist()
+        misses = miss_rng.standard_normal(_WINDOW_DRAW_BLOCK).tolist()
+        if noisy:
+            yield from zip(amps.tolist(), noise[0::2], noise[1::2], misses)
+        else:
+            yield from zip(amps.tolist(), noise, repeat(0.0), misses)
 
 
 def _resolve_monitor(

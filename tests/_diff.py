@@ -15,22 +15,31 @@ This module provides
   vectorized fast path for a pure-Python scalar reference implementing
   the *same* chunked left-fold schedule, so the vectorized path can be
   differentially tested against arithmetic with no numpy batch ops in
-  the loop.
+  the loop;
+* :func:`reference_windowed_engine` — a context manager that swaps the
+  windowed (PKP) path back to its per-window reference: scalar draws
+  from the noise and miss streams, a scalar ``np.exp`` per window, and a
+  numpy ``std / mean`` in the stability monitor.
 """
 
 from __future__ import annotations
 
+import heapq
 import struct
 from contextlib import contextmanager
 
+import numpy as np
+
+from repro.core.pkp import IPCStabilityMonitor
 from repro.sim import engine
-from repro.sim.engine import KernelSimResult, fold_chunk_ranges
+from repro.sim.engine import KernelSimResult, WindowSample, fold_chunk_ranges
 from repro.sim.stats import AppRunResult, KernelRecord
 
 __all__ = [
     "assert_bitwise_equal",
     "diff_results",
     "float_bits",
+    "reference_windowed_engine",
     "scalar_engine",
 ]
 
@@ -206,3 +215,186 @@ def scalar_engine():
         yield
     finally:
         engine._run_fast = original
+
+
+# ---------------------------------------------------------------------------
+# Per-window reference for the windowed (PKP) path.
+# ---------------------------------------------------------------------------
+
+
+def _reference_run_windowed(
+    launch: KernelLaunch,
+    gpu: GPUConfig,
+    perf: KernelPerformance,
+    durations: np.ndarray,
+    slots: int,
+    window_cycles: float,
+    monitor: StopMonitor | Callable[[WindowSample], bool] | None,
+    collect_series: bool,
+) -> KernelSimResult:
+    """Event loop with per-window IPC/L2/DRAM emission and early stop.
+
+    Runs the same interleaved schedule as the fast path — each slot's
+    chain of blocks executes back to back — with a heap merging the
+    slots' completion streams into time order.
+    """
+    observe = engine._resolve_monitor(monitor)
+    grid = launch.grid_blocks
+    inst_per_block = perf.warp_insts_per_block
+    bytes_per_block = perf.memory.dram_bytes_per_block
+    base_miss = (1.0 - perf.memory.l2_hit_rate) * 100.0
+    peak_dram = gpu.dram_bytes_per_cycle
+    miss_rng = np.random.default_rng(launch.spec.signature() % 2**63)
+    # Windowed IPC is bursty in proportion to the kernel's irregularity:
+    # memory bursts, instruction replays and uneven intra-block progress
+    # show up as window-to-window jitter that the uniform-rate attribution
+    # would otherwise smooth away.  This is the signal PKP's stability
+    # detector actually contends with (Figure 5b's noisy BFS trace).
+    ipc_noise_sigma = 0.45 * launch.spec.duration_cv
+    noise_rng = np.random.default_rng((launch.spec.signature() * 31 + 7) % 2**63)
+    # On top of white jitter, IPC *wanders* at low frequency while blocks
+    # work through their phases (cache warm-up, loop progression, DRAM row
+    # locality shifts); the wander dies out over roughly one block
+    # lifetime.  Kernels with many short blocks therefore calm down after
+    # a wave (syr2k-style, where PKP saves 50x), while a handful of huge
+    # blocks keep the signal moving for much of the kernel (DeepBench
+    # GEMMs, where PKP saves ~2x).
+    wander = 0.0
+    wander_rho = 0.8
+    wander_amp0 = 0.12
+    first_wave = durations[: min(slots, len(durations))]
+    block_lifetime = float(first_wave.mean()) if len(first_wave) else 1.0
+
+    # Slot state: the block currently resident on each slot and its
+    # uniform retire rates; the heap holds (completion_cycle, slot).
+    heap: list[tuple[float, int]] = []
+    slot_block = list(range(slots))
+    slot_rates: list[tuple[float, float]] = [(0.0, 0.0)] * slots
+    inst_rate = 0.0
+    byte_rate = 0.0
+    for slot in range(slots):
+        duration = float(durations[slot])
+        block_inst_rate = inst_per_block / duration
+        block_byte_rate = bytes_per_block / duration
+        heapq.heappush(heap, (duration, slot))
+        slot_rates[slot] = (block_inst_rate, block_byte_rate)
+        inst_rate += block_inst_rate
+        byte_rate += block_byte_rate
+
+    finished = 0
+    now = 0.0
+    win_insts = 0.0
+    win_bytes = 0.0
+    window_end = window_cycles
+    total_insts = 0.0
+    total_bytes = 0.0
+    samples: list[WindowSample] = []
+    stopped = False
+
+    while finished < grid and not stopped:
+        next_completion = heap[0][0]
+        # Emit any windows that close before the next block completion.
+        while window_end <= next_completion and not stopped:
+            elapsed = window_end - now
+            win_insts += inst_rate * elapsed
+            win_bytes += byte_rate * elapsed
+            total_insts += inst_rate * elapsed
+            total_bytes += byte_rate * elapsed
+            now = window_end
+            observed_ipc = win_insts / window_cycles
+            amp = wander_amp0 * np.exp(-3.0 * now / block_lifetime)
+            wander = wander_rho * wander + amp * float(noise_rng.standard_normal())
+            observed_ipc *= 1.0 + wander
+            if ipc_noise_sigma > 0:
+                observed_ipc *= 1.0 + ipc_noise_sigma * float(
+                    noise_rng.standard_normal()
+                )
+            observed_ipc = max(0.0, observed_ipc)
+            sample = WindowSample(
+                cycle=window_end,
+                ipc=observed_ipc,
+                l2_miss_rate=min(
+                    100.0,
+                    max(0.0, base_miss * (1.0 + 0.04 * miss_rng.standard_normal())),
+                ),
+                dram_util=min(100.0, 100.0 * win_bytes / (window_cycles * peak_dram)),
+                blocks_finished=finished,
+            )
+            if collect_series:
+                samples.append(sample)
+            if observe is not None and observe(sample):
+                stopped = True
+            win_insts = 0.0
+            win_bytes = 0.0
+            window_end += window_cycles
+        if stopped:
+            break
+        # Advance to the completion and retire every block ending there,
+        # starting each retiring slot's next chained block at the exact
+        # completion cycle (the same left fold as the fast path).
+        elapsed = next_completion - now
+        win_insts += inst_rate * elapsed
+        win_bytes += byte_rate * elapsed
+        total_insts += inst_rate * elapsed
+        total_bytes += byte_rate * elapsed
+        now = next_completion
+        while heap and heap[0][0] <= now + 1e-9:
+            end, slot = heapq.heappop(heap)
+            done_inst_rate, done_byte_rate = slot_rates[slot]
+            inst_rate -= done_inst_rate
+            byte_rate -= done_byte_rate
+            finished += 1
+            successor = slot_block[slot] + slots
+            if successor < grid:
+                duration = float(durations[successor])
+                slot_block[slot] = successor
+                block_inst_rate = inst_per_block / duration
+                block_byte_rate = bytes_per_block / duration
+                slot_rates[slot] = (block_inst_rate, block_byte_rate)
+                inst_rate += block_inst_rate
+                byte_rate += block_byte_rate
+                heapq.heappush(heap, (end + duration, slot))
+
+    return KernelSimResult(
+        launch=launch,
+        perf=perf,
+        cycles=now,
+        blocks_finished=finished,
+        warp_instructions=total_insts,
+        dram_bytes=total_bytes,
+        stopped_early=stopped,
+        samples=tuple(samples),
+    )
+
+
+def _reference_relative_std(self) -> float | None:
+    """Rolling std/mean of IPC, or None until the window fills."""
+    if len(self._window) < self.config.rolling_samples:
+        return None
+    values = np.asarray(self._window)
+    mean = float(values.mean())
+    if not np.isfinite(mean) or mean <= 0.0:
+        return None
+    spread = float(values.std() / mean)
+    return spread if np.isfinite(spread) else None
+
+
+@contextmanager
+def reference_windowed_engine():
+    """Swap the windowed path and the PKP monitor for per-window references.
+
+    The engine's windowed event loop then draws one scalar normal per
+    stream use and calls ``np.exp`` once per window, and
+    :meth:`~repro.core.pkp.IPCStabilityMonitor.relative_std` computes
+    ``np.std / np.mean`` on the rolling window — the straightforward
+    formulation the block-drawn, pure-Python hot path must match bitwise.
+    """
+    original_run = engine._run_windowed
+    original_std = IPCStabilityMonitor.relative_std
+    engine._run_windowed = _reference_run_windowed
+    IPCStabilityMonitor.relative_std = _reference_relative_std
+    try:
+        yield
+    finally:
+        engine._run_windowed = original_run
+        IPCStabilityMonitor.relative_std = original_std

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import IPCStabilityMonitor, PKPConfig, make_monitor, run_pkp
 from repro.core.pkp import project_result
@@ -90,6 +94,81 @@ class TestIPCStabilityMonitor:
         occupancy = compute_occupancy(compute_launch.spec, VOLTA_V100)
         assert monitor.wave_size == occupancy.wave_size
         assert monitor.grid_blocks == compute_launch.grid_blocks
+
+
+def _filled_monitor(values):
+    """A monitor whose rolling window is exactly ``values``."""
+    config = PKPConfig(rolling_window_cycles=500.0 * len(values))
+    assert config.rolling_samples == len(values)
+    monitor = IPCStabilityMonitor(wave_size=1, grid_blocks=1, config=config)
+    for step, value in enumerate(values):
+        monitor.observe(_sample(500.0 * (step + 1), value))
+    return monitor
+
+
+def _numpy_relative_std(values):
+    window = np.asarray(values)
+    return float(window.std() / window.mean())
+
+
+class TestRelativeStdMatchesNumpy:
+    """``relative_std`` is pure Python on the per-window hot path but must
+    stay the bitwise value of numpy's ``std / mean``: it mirrors numpy's
+    pairwise summation, so every window length — left fold (< 8),
+    eight-accumulator block (8..128) and recursive halving (> 128) — and
+    every magnitude mix has to round exactly as numpy does."""
+
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.floats(min_value=1e-3, max_value=1e3),
+                # Log-uniform too, so windows mix magnitudes across decades.
+                st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e),
+            ),
+            min_size=2,
+            max_size=300,
+        )
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_bitwise_equal_to_numpy(self, values):
+        spread = _filled_monitor(values).relative_std()
+        assert spread is not None
+        assert spread.hex() == _numpy_relative_std(values).hex()
+
+    @pytest.mark.parametrize("length", [2, 6, 7, 8, 9, 16, 127, 128, 129, 130, 300])
+    def test_block_boundaries(self, length):
+        values = np.random.default_rng(length).uniform(1e-3, 1e3, length).tolist()
+        spread = _filled_monitor(values).relative_std()
+        assert spread.hex() == _numpy_relative_std(values).hex()
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.0] * 6,  # zero mean
+            [0.0] * 9,
+            [-1.0, -2.0, -3.0, -1.0, -2.0, -3.0],  # negative mean
+            [1e308] * 6,  # sum overflows: infinite mean
+            [1e308] * 130,
+        ],
+        ids=["zero", "zero-block", "negative", "overflow", "overflow-halving"],
+    )
+    def test_non_positive_or_non_finite_mean_is_none(self, values):
+        assert _filled_monitor(values).relative_std() is None
+
+    def test_window_restarts_after_nan(self):
+        monitor = _filled_monitor([40.0, 41.0, 39.0, 40.5, 39.5, 40.0])
+        assert monitor.relative_std() is not None
+        assert not monitor.observe(_sample(3_500.0, math.nan))
+        assert monitor.relative_std() is None
+        fresh = [50.0, 52.0, 48.0, 51.0, 49.0]
+        for step, value in enumerate(fresh):
+            monitor.observe(_sample(4_000.0 + 500.0 * step, value))
+        # Five post-NaN samples do not refill a six-sample window...
+        assert monitor.relative_std() is None
+        monitor.observe(_sample(6_500.0, 50.5))
+        # ...the sixth does, and only post-NaN samples count.
+        spread = monitor.relative_std()
+        assert spread.hex() == _numpy_relative_std([*fresh, 50.5]).hex()
 
 
 class TestProjection:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -167,6 +168,40 @@ class TestLaunchValidation:
         poisoned = _launch(0, duration_cv=float("nan"))
         issues = launch_issues("app", [poisoned])
         assert any("duration_cv" in issue.detail for issue in issues)
+
+    def test_shared_non_finite_spec_reports_every_launch(self):
+        """Launches sharing one poisoned spec are each reported, in launch
+        order, with the same text as a per-launch check."""
+        poisoned = _launch(
+            0,
+            duration_cv=float("nan"),
+            phase_drift=float("inf"),
+            mix=InstructionMix(
+                fp_ops=float("nan"), int_ops=5.0, global_loads=float("inf")
+            ),
+        )
+        clean = _launch(1)
+        launches = [
+            poisoned,
+            clean,
+            dataclasses.replace(poisoned, launch_id=2),
+            dataclasses.replace(clean, launch_id=3),
+            dataclasses.replace(poisoned, launch_id=7, grid_blocks=8),
+        ]
+        details = [
+            f"launch {launch_id} (k).{field} is non-finite ({value})"
+            for launch_id in (0, 2, 7)
+            for field, value in (
+                ("duration_cv", "nan"),
+                ("phase_drift", "inf"),
+                ("mix.fp_ops", "nan"),
+                ("mix.global_loads", "inf"),
+            )
+        ]
+        expected = [ValidationIssue("app", "launch_finite", d) for d in details]
+        assert launch_issues("app", launches) == expected
+        # A one-shot iterator sees the same issues.
+        assert launch_issues("app", iter(launches)) == expected
 
     def test_strict_sanitize_raises(self):
         poisoned = _launch(0, mix=InstructionMix(fp_ops=float("nan"), int_ops=5.0))

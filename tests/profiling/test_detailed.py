@@ -123,3 +123,21 @@ class TestDetailedProfiler:
     def test_feature_vector_matches_counters(self, volta_silicon, compute_launch):
         (profile,) = DetailedProfiler(volta_silicon).profile([compute_launch])
         assert np.array_equal(profile.feature_vector(), np.array(profile.counters))
+
+    def test_memoized_isa_skew_keeps_counters_bitwise(self):
+        """``profile`` seeds one ISA skew per kernel signature; every
+        launch's counters stay bitwise those of ``collect_counters``, on
+        each generation, for a real app whose kernels repeat."""
+        from repro.gpu import TURING_RTX2060
+        from repro.sim.silicon import SiliconExecutor
+        from repro.workloads import get_workload
+
+        launches = get_workload("cutcp").build("volta")
+        assert len({launch.spec.signature() for launch in launches}) < len(launches)
+        for gpu in (VOLTA_V100, TURING_RTX2060):
+            profiles = DetailedProfiler(SiliconExecutor(gpu)).profile(launches)
+            for launch, profile in zip(launches, profiles, strict=True):
+                expected = collect_counters(launch, gpu.generation)
+                assert [value.hex() for value in profile.counters] == [
+                    value.hex() for value in expected
+                ]
