@@ -29,9 +29,9 @@ import time
 import pytest
 
 from repro.analysis import EvaluationHarness
-from repro.errors import WorkloadError
 from repro.predict import PredictedResult
-from repro.workloads import WorkloadSpec, register
+from repro.workloads import WorkloadSpec, get_workload, register
+from repro.workloads.spec import _DERIVED, _REGISTRY
 from repro.workloads.generator import (
     LaunchBuilder,
     MIB,
@@ -88,19 +88,32 @@ def _sparse_launches():
 BASES = ("predbench_dense", "predbench_stream", "predbench_sparse")
 VARIANTS = ("~nd1", "~nd2")
 
-for _name, _builder in (
-    ("predbench_dense", _dense_launches),
-    ("predbench_stream", _stream_launches),
-    ("predbench_sparse", _sparse_launches),
-):
+
+@pytest.fixture(scope="module")
+def predbench_corpus():
+    """Register the synthetic bases for this module only.
+
+    Registered at import time they leaked into every later benchmark in
+    the session (the corpus-wide figures then saw 150 workloads).
+    """
+    get_workload("fdtd2d")  # force the registry load before registering
+    for name, builder in zip(
+        BASES, (_dense_launches, _stream_launches, _sparse_launches)
+    ):
+        register(WorkloadSpec(name=name, suite="predbench", builder=builder))
     try:
-        register(WorkloadSpec(name=_name, suite="predbench", builder=_builder))
-    except WorkloadError:
-        pass  # already registered (module imported twice)
+        yield BASES
+    finally:
+        for name in BASES:
+            _REGISTRY.pop(name, None)
+            for suffix in VARIANTS:
+                _DERIVED.pop(name + suffix, None)
 
 
 @pytest.fixture(scope="module")
-def corpus_harnesses(tmp_path_factory):
+def corpus_harnesses(predbench_corpus, tmp_path_factory):
+    # Built after registering: a PKA_JOBS pool forks and must inherit
+    # the synthetic bases.
     cache = tmp_path_factory.mktemp("predict-bench")
     predict = EvaluationHarness(
         backend=os.environ.get("PKA_JOBS"),
@@ -185,7 +198,7 @@ def test_fig_predict_tiers(corpus_harnesses, benchmark):
     assert snap["reconciles"] is True
 
 
-def test_predict_disabled_overhead(tmp_path):
+def test_predict_disabled_overhead(predbench_corpus, tmp_path):
     # With prediction off, the consult hook must be a None check — its
     # cost over an entire sweep is bounded well under 5% of one cell's
     # DES time.

@@ -154,24 +154,36 @@ class WorkloadEvaluation:
 
     spec: WorkloadSpec
     harness: "EvaluationHarness"
-    _launches: dict[str, list] = field(default_factory=dict)
-    _launch_digests: dict[str, str] = field(default_factory=dict)
+    # Launch lists and their digests, keyed by the builder that made them
+    # (WorkloadSpec.builder_for), so generations that share a builder
+    # build and hash one list.
+    _launches: dict[Callable, list] = field(default_factory=dict)
+    _launch_digests: dict[Callable, str] = field(default_factory=dict)
     _cache: dict[RunKey, object] = field(default_factory=dict)
 
     # -- building blocks ------------------------------------------------
 
     def launches(self, generation: str = "volta") -> list:
-        if generation not in self._launches:
-            self._launches[generation] = self.spec.build(generation)
-        return self._launches[generation]
+        """The launch list the workload runs on one GPU generation.
+
+        Built once per distinct builder: every generation without a
+        variant builder gets the *same* list object.  The list is shared
+        read-only by every cell of the workload; callers must not mutate
+        it (copy it first).
+        """
+        builder = self.spec.builder_for(generation)
+        if builder not in self._launches:
+            self._launches[builder] = self.spec.build(generation)
+        return self._launches[builder]
 
     def launch_digest(self, generation: str = "volta") -> str:
         """Memoized content digest of one generation's launch list."""
-        if generation not in self._launch_digests:
-            self._launch_digests[generation] = launches_digest(
+        builder = self.spec.builder_for(generation)
+        if builder not in self._launch_digests:
+            self._launch_digests[builder] = launches_digest(
                 self.launches(generation)
             )
-        return self._launch_digests[generation]
+        return self._launch_digests[builder]
 
     def runs_on(self, gpu: GPUConfig) -> bool:
         if not self.spec.fits_on(gpu):

@@ -276,6 +276,9 @@ class RunKey:
 
 def _jsonable(value):
     """Canonical JSON-compatible form of digest payload values."""
+    if isinstance(value, GPUConfig):
+        # Its fields are scalars: the generic dataclass rendering, memoized.
+        return dict(value.field_items)
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return _jsonable(dataclasses.asdict(value))
     if isinstance(value, dict):
@@ -299,15 +302,26 @@ def launches_digest(launches: Iterable[KernelLaunch]) -> str:
     Covers, per launch, the spec signature (which already hashes every
     behavioural field), the grid, the chronological id and the NVTX
     annotations — everything any method's result can depend on.
+
+    One sha256 pass over all rows.  Launches repeat a few annotation sets
+    many times (MLPerf tags every launch), so each distinct set is
+    rendered once; only all-string sets are reused, since equal strings
+    always render alike (``1`` and ``1.0`` compare equal but do not).
     """
-    hasher = hashlib.sha256()
+    rendered: dict[tuple, str] = {}
+    rows = []
     for launch in launches:
-        row = (
+        items = tuple(launch.nvtx.items())
+        nvtx = rendered.get(items)
+        if nvtx is None:
+            nvtx = f"{sorted(items)}"
+            if all(type(part) is str for pair in items for part in pair):
+                rendered[items] = nvtx
+        rows.append(
             f"{launch.launch_id}:{launch.spec.signature()}:"
-            f"{launch.grid_blocks}:{sorted(launch.nvtx.items())}\n"
+            f"{launch.grid_blocks}:{nvtx}\n"
         )
-        hasher.update(row.encode("utf-8"))
-    return hasher.hexdigest()
+    return hashlib.sha256("".join(rows).encode("utf-8")).hexdigest()
 
 
 def run_digest(

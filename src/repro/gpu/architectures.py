@@ -10,7 +10,8 @@ from the public datasheets of the respective cards.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 from repro.errors import ConfigurationError
 
@@ -101,6 +102,15 @@ class GPUConfig:
             raise ConfigurationError("dram_bandwidth_gbps must be positive")
         if self.sim_cycles_per_second <= 0:
             raise ConfigurationError("sim_cycles_per_second must be positive")
+
+    @cached_property
+    def field_items(self) -> tuple[tuple[str, object], ...]:
+        """``(name, value)`` for every field, in declaration order.
+
+        Computed once per config (every run-cache digest hashes the full
+        config) and immutable, so no caller can alter what another sees.
+        """
+        return tuple((f.name, getattr(self, f.name)) for f in fields(self))
 
     @property
     def dram_bytes_per_cycle(self) -> float:

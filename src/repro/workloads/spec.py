@@ -79,17 +79,22 @@ class WorkloadSpec:
         if self.min_memory_gb <= 0:
             raise WorkloadError("min_memory_gb must be positive")
 
-    def build(self, generation: str | None = None) -> list[KernelLaunch]:
-        """Build the launch list, optionally for a specific GPU generation.
+    def builder_for(self, generation: str | None = None) -> Builder:
+        """The builder that produces the launch list on ``generation``.
 
-        Most workloads run identically on every generation; the few with
-        ``variant_builders`` (cuDNN autotuned ones) produce a different
-        list on the named generation — the source of the paper's Turing
-        conv-training anomaly.
+        Most workloads run identically on every generation and share
+        :attr:`builder`; the few with ``variant_builders`` (cuDNN
+        autotuned ones) build a different list on the named generation —
+        the source of the paper's Turing conv-training anomaly.  Two
+        generations with the same builder get the same launch list.
         """
         if generation is not None and generation in self.variant_builders:
-            return self.variant_builders[generation]()
-        return self.builder()
+            return self.variant_builders[generation]
+        return self.builder
+
+    def build(self, generation: str | None = None) -> list[KernelLaunch]:
+        """Build the launch list, optionally for a specific GPU generation."""
+        return self.builder_for(generation)()
 
     def fits_on(self, gpu: GPUConfig) -> bool:
         """Whether the workload's footprint fits in the GPU's memory."""

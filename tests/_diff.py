@@ -19,11 +19,15 @@ This module provides
 * :func:`reference_windowed_engine` — a context manager that swaps the
   windowed (PKP) path back to its per-window reference: scalar draws
   from the noise and miss streams, a scalar ``np.exp`` per window, and a
-  numpy ``std / mean`` in the stability monitor.
+  numpy ``std / mean`` in the stability monitor;
+* :func:`reference_launches_digest` — the per-launch incremental
+  formulation of :func:`~repro.analysis.persistence.launches_digest`,
+  which every on-disk cache key was derived from.
 """
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import struct
 from contextlib import contextmanager
@@ -39,6 +43,7 @@ __all__ = [
     "assert_bitwise_equal",
     "diff_results",
     "float_bits",
+    "reference_launches_digest",
     "reference_windowed_engine",
     "scalar_engine",
 ]
@@ -398,3 +403,15 @@ def reference_windowed_engine():
     finally:
         engine._run_windowed = original_run
         IPCStabilityMonitor.relative_std = original_std
+
+
+def reference_launches_digest(launches) -> str:
+    """One sha256 update per launch row: the original cache-key digest."""
+    hasher = hashlib.sha256()
+    for launch in launches:
+        row = (
+            f"{launch.launch_id}:{launch.spec.signature()}:"
+            f"{launch.grid_blocks}:{sorted(launch.nvtx.items())}\n"
+        )
+        hasher.update(row.encode("utf-8"))
+    return hasher.hexdigest()

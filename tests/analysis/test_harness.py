@@ -8,7 +8,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.gpu import TURING_RTX2060, VOLTA_V100, volta_v100_half_sms
+from repro.analysis import EvaluationHarness
+from repro.gpu import (
+    GENERATIONS,
+    KernelLaunch,
+    TURING_RTX2060,
+    VOLTA_V100,
+    volta_v100_half_sms,
+)
+from repro.workloads import WorkloadSpec
 
 
 class TestMemoization:
@@ -26,6 +34,49 @@ class TestMemoization:
         assert evaluation.silicon("volta") is evaluation.silicon("volta")
         assert evaluation.selection() is evaluation.selection()
         assert evaluation.full_sim() is evaluation.full_sim()
+
+
+class TestBuildOnce:
+    """One launch list (and digest) per distinct builder, not per GPU."""
+
+    @staticmethod
+    def _counting(compute_spec, grids, calls):
+        def build():
+            calls.append(grids)
+            return [
+                KernelLaunch(spec=compute_spec, grid_blocks=grid, launch_id=index)
+                for index, grid in enumerate(grids)
+            ]
+
+        return build
+
+    def test_shared_builder_builds_once(self, compute_spec):
+        calls = []
+        spec = WorkloadSpec(
+            "build_once_app", "synthetic", self._counting(compute_spec, (64, 96), calls)
+        )
+        evaluation = EvaluationHarness().evaluation(spec)
+        lists = [evaluation.launches(generation) for generation in GENERATIONS]
+        digests = {evaluation.launch_digest(generation) for generation in GENERATIONS}
+        assert len(calls) == 1
+        assert all(launches is lists[0] for launches in lists)
+        assert len(digests) == 1
+
+    def test_variant_builder_builds_twice(self, compute_spec):
+        calls = []
+        spec = WorkloadSpec(
+            "build_variant_app",
+            "synthetic",
+            self._counting(compute_spec, (64, 96), calls),
+            variant_builders={"turing": self._counting(compute_spec, (128,), calls)},
+        )
+        evaluation = EvaluationHarness().evaluation(spec)
+        for generation in GENERATIONS:
+            evaluation.launch_digest(generation)
+        assert sorted(calls) == [(64, 96), (128,)]
+        assert evaluation.launch_digest("turing") != evaluation.launch_digest("volta")
+        assert evaluation.launch_digest("ampere") == evaluation.launch_digest("volta")
+        assert evaluation.launches("turing") is not evaluation.launches("volta")
 
 
 class TestApplicabilityRules:
