@@ -16,14 +16,10 @@ executable twice over:
   the cold path is the one practitioners actually pay, so both timed
   runs here construct their ``Simulator`` from scratch and nothing is
   reused between them.
-
-Set ``PKA_BENCH_JSON=/path/to/file.json`` to append the measured
-timings as JSON (one object per benchmark) for trend tracking in CI.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
@@ -49,23 +45,6 @@ from repro.workloads.generator import (
 from repro.profiling.detailed import collect_counters
 from repro.mlkit import StandardScaler, log_compress
 from conftest import print_header
-
-
-def _record_bench_json(name: str, payload: dict) -> None:
-    """Append one benchmark record to ``PKA_BENCH_JSON`` (if set)."""
-    path = os.environ.get("PKA_BENCH_JSON")
-    if not path:
-        return
-    document: dict = {}
-    if os.path.exists(path):
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                document = json.load(handle)
-        except (OSError, ValueError):
-            document = {}
-    document[name] = payload
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -110,14 +89,6 @@ def test_clustering_scales_to_millions(harness, benchmark):
     assert lloyd_seconds < 120.0
     assert mini_seconds < 60.0
     assert mini.inertia_ <= full.inertia_ * 1.25
-    _record_bench_json(
-        "clustering_million_rows",
-        {
-            "rows": int(features.shape[0]),
-            "lloyd_seconds": round(lloyd_seconds, 3),
-            "minibatch_seconds": round(mini_seconds, 3),
-        },
-    )
 
     # Hierarchical clustering hits its wall orders of magnitude earlier:
     # the 1M-point distance matrix alone would be ~8 TB.
@@ -189,16 +160,6 @@ def test_cold_million_kernel_run_scales_with_intra_jobs(record_property):
     print(f"launches: {len(launches):,} over {_N_DISTINCT} distinct kernels")
     print(f"serial:       {serial_seconds:6.2f}s")
     print(f"intra_jobs=4: {sharded_seconds:6.2f}s  ({speedup:.2f}x)")
-    _record_bench_json(
-        "cold_million_kernel_intra_jobs",
-        {
-            "launches": len(launches),
-            "distinct_kernels": _N_DISTINCT,
-            "serial_seconds": round(serial_seconds, 3),
-            "intra4_seconds": round(sharded_seconds, 3),
-            "speedup": round(speedup, 3),
-        },
-    )
     assert speedup >= 2.0, (
         f"cold million-kernel run only {speedup:.2f}x faster at intra_jobs=4"
     )
@@ -256,14 +217,6 @@ def test_intra_observability_overhead_under_5pct(record_property):
         f"\nintra-run tracing overhead: {per_call * 1e9:.0f} ns/call disabled, "
         f"{records} call sites, {overhead_seconds * 1e3:.2f} ms bound vs "
         f"{disabled_seconds:.3f} s ({ratio * 100:.3f}%)"
-    )
-    _record_bench_json(
-        "intra_observability_overhead",
-        {
-            "per_call_ns": round(per_call * 1e9, 1),
-            "records": records,
-            "overhead_ratio": round(ratio, 5),
-        },
     )
     assert ratio < 0.05, (
         f"disabled-mode tracing overhead bound {ratio * 100:.2f}% exceeds 5%"

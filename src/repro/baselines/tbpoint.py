@@ -8,9 +8,13 @@ paper's comparison:
 
 * the feature vectors require functionally simulating the entire
   application first, so the method only applies to workloads that are
-  completable — hierarchical clustering additionally needs the full
-  O(n^2) distance matrix, which is the scalability wall
-  (:class:`repro.mlkit.ClusteringCapacityError`) at MLPerf kernel counts;
+  completable — hierarchical clustering additionally needs an O(n^2)
+  distance matrix, which is the scalability wall
+  (:class:`repro.mlkit.ClusteringCapacityError`) at MLPerf kernel counts.
+  The matrix here is over the distinct feature rows, each weighted by its
+  launch count (the same partitions as over every launch, since repeated
+  kernel shapes are exact duplicates), but the wall is still enforced on
+  the launch count, as for the method as published;
 * the distance threshold needs per-application tuning; in lieu of hand
   tuning, this implementation sweeps 20 thresholds between 0.01 and 0.2
   (as the paper does for its TBPoint results) and keeps the best by the
@@ -18,6 +22,8 @@ paper's comparison:
 * representatives are cluster medoids rather than first-chronological
   kernels, which is the conservative choice that costs TBPoint its 2.19x
   extra simulation time in Figure 7.
+
+Cluster labels are numbered by each cluster's first launch.
 """
 
 from __future__ import annotations
@@ -84,11 +90,16 @@ def select_tbpoint(
     cycles = np.asarray([profile.cycles for profile in profiles])
     actual_total = float(cycles.sum())
 
-    # Agglomerate once; cut the same dendrogram at every sweep threshold.
-    tree = build_merge_tree(normalized, linkage="average", max_points=max_points)
+    # Agglomerate the distinct rows once, weighted by multiplicity; cut the
+    # same dendrogram at every sweep threshold and map each cut back to
+    # the launches.
+    rows, counts, launch_rows = _distinct_rows(normalized)
+    tree = build_merge_tree(
+        rows, linkage="average", max_points=max_points, counts=counts
+    )
     best: TBPointSelection | None = None
     for threshold in _THRESHOLD_SWEEP:
-        labels = tree.labels_at_threshold(float(threshold))
+        labels = tree.labels_at_threshold(float(threshold))[launch_rows]
         selection = _selection_for(
             workload_name, profiles, normalized, labels, cycles, actual_total,
             float(threshold),
@@ -97,6 +108,21 @@ def select_tbpoint(
             best = selection
     assert best is not None
     return best
+
+
+def _distinct_rows(
+    matrix: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``matrix``'s distinct rows in order of first occurrence, each one's
+    count, and the index of every row of ``matrix`` into them."""
+    _, first, inverse, counts = np.unique(
+        matrix, axis=0, return_index=True, return_inverse=True,
+        return_counts=True,
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return matrix[first[order]], counts[order], rank[inverse.reshape(-1)]
 
 
 def _better(

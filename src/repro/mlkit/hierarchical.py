@@ -9,6 +9,15 @@ sweep needs.  The time bound holds on duplicate-heavy inputs too: a cached
 row minimum is rescanned only when a merge may have moved the row's first
 argmin, not on every distance-0 tie.
 
+Rows may carry multiplicities (``counts=``): a cluster's starting size is
+its count, which average linkage weights by, so a tree over the distinct
+rows of a duplicate-heavy matrix stands in for the tree over every row.
+TBPoint builds its O(n^2) matrix over distinct feature rows that way.
+
+The initial distance matrix is exactly symmetric, so every merge joins
+roots ``i < j`` and cluster labels are numbered by each cluster's smallest
+member.
+
 The O(n^2) distance matrix is exactly the scalability wall the paper
 highlights: the implementation refuses inputs above ``max_points`` to make
 that wall explicit rather than silently thrash.
@@ -41,7 +50,8 @@ class MergeTree:
     non-decreasing distance order for single/average/complete linkage on
     a fixed dataset.  Both ``i`` and ``j`` are live roots when they merge
     and ``i`` stays the root afterwards, so every merge joins two
-    clusters and cutting the tree is a prefix of ``merges``.
+    clusters and cutting the tree is a prefix of ``merges``.  Since
+    ``i < j``, a root is its cluster's smallest member.
     """
 
     n_points: int
@@ -63,7 +73,7 @@ class MergeTree:
 
     def _replay(self, n_merges: int) -> np.ndarray:
         """Labels after the first ``n_merges`` merges, numbered by the
-        ascending index of each cluster's root."""
+        ascending index of each cluster's root (its smallest member)."""
         parent = np.arange(self.n_points)
         if n_merges:
             pairs = np.array([(i, j) for i, j, _ in self.merges[:n_merges]])
@@ -82,8 +92,17 @@ def build_merge_tree(
     points: np.ndarray,
     linkage: str = "average",
     max_points: int = 20_000,
+    *,
+    counts: np.ndarray | None = None,
 ) -> MergeTree:
     """Agglomerate ``points`` all the way down to one cluster.
+
+    ``counts`` gives each row's multiplicity (default 1 per row): it seeds
+    the cluster sizes that average linkage weights by, so the tree over a
+    matrix's distinct rows with their counts cuts into the same partitions
+    as the tree over every row (for average linkage, up to rounding at a
+    threshold within about 1e-9 of a merge height).  ``max_points``
+    bounds the rows given, not the counts.
 
     Runs in O(n^2) time using cached per-row minima over the in-place
     updated distance matrix.  Each merge changes only columns ``i`` and
@@ -101,6 +120,14 @@ def build_merge_tree(
     n = points.shape[0]
     if n == 0:
         raise ValueError("cannot cluster zero points")
+    if counts is None:
+        sizes = np.ones(n, dtype=np.float64)
+    else:
+        sizes = np.array(counts, dtype=np.float64)
+        if sizes.shape != (n,):
+            raise ValueError(f"counts must have one entry per row ({n})")
+        if not (np.isfinite(sizes).all() and (sizes > 0).all()):
+            raise ValueError("counts must be finite and positive")
     if n > max_points:
         raise ClusteringCapacityError(
             f"hierarchical clustering of {n} points exceeds the "
@@ -111,18 +138,21 @@ def build_merge_tree(
         return MergeTree(n_points=1, merges=())
 
     # Full pairwise distance matrix with inf diagonal, built in place so
-    # the n x n Gram product is the only n^2 buffer ever allocated.
+    # the n x n Gram product is the only n^2 buffer ever allocated.  The
+    # Gram product is exactly symmetric; adding ``s_i + s_j`` as one term
+    # keeps it so, where adding the two norms one at a time can leave
+    # ``d[a, b]`` and ``d[b, a]`` an ulp apart and let a merge keep the
+    # larger index as the root.
     sq_norms = np.sum(points**2, axis=1)
     dist = points @ points.T
     dist *= -2.0
-    dist += sq_norms[:, None]
-    dist += sq_norms[None, :]
+    for row in range(n):
+        dist[row] += sq_norms[row] + sq_norms
     np.maximum(dist, 0.0, out=dist)
     np.sqrt(dist, out=dist)
     np.fill_diagonal(dist, np.inf)
 
     active = np.ones(n, dtype=bool)
-    sizes = np.ones(n, dtype=np.float64)
     # Cached minimum of each active row (value and column index), and
     # whether that index is known to be the row's *first* argmin.
     row_min_val = dist.min(axis=1)

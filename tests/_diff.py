@@ -22,7 +22,10 @@ This module provides
   numpy ``std / mean`` in the stability monitor;
 * :func:`reference_launches_digest` — the per-launch incremental
   formulation of :func:`~repro.analysis.persistence.launches_digest`,
-  which every on-disk cache key was derived from.
+  which every on-disk cache key was derived from;
+* :func:`reference_select_tbpoint` / :func:`reference_build_merge_tree`
+  — TBPoint clustering one merge tree over every launch (the full n x n
+  matrix), against which the distinct-row tree is checked.
 """
 
 from __future__ import annotations
@@ -30,11 +33,24 @@ from __future__ import annotations
 import hashlib
 import heapq
 import struct
+from collections.abc import Sequence
 from contextlib import contextmanager
 
 import numpy as np
 
+from repro.baselines.tbpoint import (
+    _THRESHOLD_SWEEP,
+    TBPointSelection,
+    _better,
+    _selection_for,
+)
+from repro.core.features import FeaturePipeline, profile_feature_matrix
 from repro.core.pkp import IPCStabilityMonitor
+from repro.errors import ReproError
+from repro.mlkit import ClusteringCapacityError, MergeTree
+from repro.mlkit._checks import require_finite
+from repro.mlkit.hierarchical import _LINKAGES
+from repro.profiling.detailed import DetailedProfile
 from repro.sim import engine
 from repro.sim.engine import KernelSimResult, WindowSample, fold_chunk_ranges
 from repro.sim.stats import AppRunResult, KernelRecord
@@ -43,7 +59,9 @@ __all__ = [
     "assert_bitwise_equal",
     "diff_results",
     "float_bits",
+    "reference_build_merge_tree",
     "reference_launches_digest",
+    "reference_select_tbpoint",
     "reference_windowed_engine",
     "scalar_engine",
 ]
@@ -415,3 +433,175 @@ def reference_launches_digest(launches) -> str:
         )
         hasher.update(row.encode("utf-8"))
     return hasher.hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# Full-matrix reference for TBPoint's clustering.
+# ---------------------------------------------------------------------------
+# ``select_tbpoint`` and ``build_merge_tree`` as they stood before TBPoint
+# clustered distinct feature rows: one merge tree over every launch, its
+# initial distances summed as ``(-2G + s_i) + s_j``.  Only the names differ.
+
+
+def reference_build_merge_tree(
+    points: np.ndarray,
+    linkage: str = "average",
+    max_points: int = 20_000,
+) -> MergeTree:
+    """Agglomerate ``points`` all the way down to one cluster.
+
+    Runs in O(n^2) time using cached per-row minima over the in-place
+    updated distance matrix.  Each merge changes only columns ``i`` and
+    ``j`` of the other rows, so a cached minimum is always the row's true
+    minimum; a per-row flag records when its cached index is also the
+    row's *first* argmin.  That invariant settles distance ties (which
+    dominate duplicate-heavy inputs) without a full-row rescan while
+    reproducing exactly the merges a rescan-on-every-tie loop produces.
+    """
+    points = require_finite(points, "build_merge_tree")
+    if points.ndim != 2:
+        raise ValueError("expected a 2-D matrix")
+    if linkage not in _LINKAGES:
+        raise ValueError(f"linkage must be one of {_LINKAGES}")
+    n = points.shape[0]
+    if n == 0:
+        raise ValueError("cannot cluster zero points")
+    if n > max_points:
+        raise ClusteringCapacityError(
+            f"hierarchical clustering of {n} points exceeds the "
+            f"{max_points}-point capacity (the scalability wall "
+            "PKA's k-means avoids)"
+        )
+    if n == 1:
+        return MergeTree(n_points=1, merges=())
+
+    # Full pairwise distance matrix with inf diagonal, built in place so
+    # the n x n Gram product is the only n^2 buffer ever allocated.
+    sq_norms = np.sum(points**2, axis=1)
+    dist = points @ points.T
+    dist *= -2.0
+    dist += sq_norms[:, None]
+    dist += sq_norms[None, :]
+    np.maximum(dist, 0.0, out=dist)
+    np.sqrt(dist, out=dist)
+    np.fill_diagonal(dist, np.inf)
+
+    active = np.ones(n, dtype=bool)
+    sizes = np.ones(n, dtype=np.float64)
+    # Cached minimum of each active row (value and column index), and
+    # whether that index is known to be the row's *first* argmin.
+    row_min_val = dist.min(axis=1)
+    row_min_idx = dist.argmin(axis=1)
+    row_min_first = np.ones(n, dtype=bool)
+    merges: list[tuple[int, int, float]] = []
+
+    for _ in range(n - 1):
+        candidate_vals = np.where(active, row_min_val, np.inf)
+        i = int(np.argmin(candidate_vals))
+        j = int(row_min_idx[i])
+        merge_dist = float(candidate_vals[i])
+        merges.append((i, j, merge_dist))
+
+        # Merge j into i with the chosen linkage update.
+        row_i = dist[i, :]
+        row_j = dist[j, :]
+        if linkage == "single":
+            merged = np.minimum(row_i, row_j)
+        elif linkage == "complete":
+            merged = np.maximum(row_i, row_j)
+        else:  # size-weighted average linkage
+            total = sizes[i] + sizes[j]
+            merged = (sizes[i] * row_i + sizes[j] * row_j) / total
+            merged[~np.isfinite(row_i) | ~np.isfinite(row_j)] = np.inf
+        merged[i] = np.inf
+        merged[j] = np.inf
+        dist[i, :] = merged
+        dist[:, i] = merged
+        dist[j, :] = np.inf
+        dist[:, j] = np.inf
+        sizes[i] += sizes[j]
+        active[j] = False
+
+        # Refresh cached minima.  Row i changed entirely and is rescanned.
+        row_min_val[i] = merged.min()
+        row_min_idx[i] = int(merged.argmin())
+        row_min_first[i] = True
+        # Any other row only changed in columns i (now ``merged``) and j
+        # (now inf).  A row whose cached minimum pointed at i or j would
+        # rescan to its first argmin; that is provably column i when the
+        # merged distance undercuts the old minimum, or ties it with no
+        # earlier column holding the same value (the cached index was the
+        # first argmin and is no earlier than i).
+        stale = active & ((row_min_idx == i) | (row_min_idx == j))
+        stale[i] = False
+        stale_rows = np.flatnonzero(stale)
+        old_val = row_min_val[stale_rows]
+        new_val = merged[stale_rows]
+        keeps_i = (new_val < old_val) | (
+            (new_val == old_val)
+            & row_min_first[stale_rows]
+            & (row_min_idx[stale_rows] >= i)
+        )
+        row_min_val[stale_rows[keeps_i]] = new_val[keeps_i]
+        row_min_idx[stale_rows[keeps_i]] = i
+        for row in stale_rows[~keeps_i]:
+            row_min_val[row] = dist[row, :].min()
+            row_min_idx[row] = int(dist[row, :].argmin())
+        row_min_first[stale_rows] = True
+        # A tie at column i ahead of the cached index leaves the cache on
+        # a later column (the update below is strict), so it is no longer
+        # the first argmin.
+        row_min_first[(merged == row_min_val) & (row_min_idx > i)] = False
+        # Rows for which the new row i is now closer than their cache.
+        improved = active & (merged < row_min_val)
+        improved[i] = False
+        row_min_val[improved] = merged[improved]
+        row_min_idx[improved] = i
+        row_min_first[improved] = True
+
+    return MergeTree(n_points=n, merges=tuple(merges))
+
+
+def reference_select_tbpoint(
+    workload_name: str,
+    profiles: Sequence[DetailedProfile],
+    *,
+    target_error: float = 0.05,
+    max_points: int = 20_000,
+) -> TBPointSelection:
+    """Cluster kernels TBPoint-style with the 20-threshold sweep.
+
+    Raises :class:`ClusteringCapacityError` for kernel counts beyond the
+    hierarchical-clustering capacity — TBPoint does not scale to MLPerf.
+    """
+    if not profiles:
+        raise ReproError("TBPoint requires at least one profile")
+    if len(profiles) > max_points:
+        raise ClusteringCapacityError(
+            f"TBPoint cannot cluster {len(profiles)} kernels "
+            f"(capacity {max_points})"
+        )
+
+    counters = profile_feature_matrix(profiles)
+    pipeline = FeaturePipeline()
+    reduced = pipeline.fit_transform(counters)
+    # Normalize to unit scale so the absolute threshold sweep is
+    # comparable across applications.
+    spread = float(np.abs(reduced).max()) or 1.0
+    normalized = reduced / spread
+    cycles = np.asarray([profile.cycles for profile in profiles])
+    actual_total = float(cycles.sum())
+
+    # Agglomerate once; cut the same dendrogram at every sweep threshold.
+    tree = reference_build_merge_tree(normalized, linkage="average", max_points=max_points)
+    best: TBPointSelection | None = None
+    for threshold in _THRESHOLD_SWEEP:
+        labels = tree.labels_at_threshold(float(threshold))
+        selection = _selection_for(
+            workload_name, profiles, normalized, labels, cycles, actual_total,
+            float(threshold),
+        )
+        if best is None or _better(selection, best, target_error):
+            best = selection
+    assert best is not None
+    return best

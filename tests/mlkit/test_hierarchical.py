@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.tbpoint import _THRESHOLD_SWEEP
+from repro.baselines.tbpoint import _THRESHOLD_SWEEP, _distinct_rows
 from repro.errors import NotFittedError
 from repro.mlkit import (
     AgglomerativeClustering,
@@ -149,9 +149,10 @@ class TestAgglomerativeClustering:
 # ---------------------------------------------------------------------------
 # Differential check against the rescan-on-every-tie loop.  The reference
 # below is the merge loop and union-find replay as they stood before the
-# first-argmin flag; the production loop must reproduce its merges
-# exactly (same pairs, same float distances) and its label numbering,
-# on inputs where nearly every merge is a distance tie.
+# first-argmin flag (with the production loop's exactly symmetric initial
+# distances); the production loop must reproduce its merges exactly (same
+# pairs, same float distances) and its label numbering, on inputs where
+# nearly every merge is a distance tie.
 # ---------------------------------------------------------------------------
 
 
@@ -159,7 +160,7 @@ def _reference_merges(points, linkage):
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     sq_norms = np.sum(points**2, axis=1)
-    dist = sq_norms[:, None] - 2.0 * (points @ points.T) + sq_norms[None, :]
+    dist = (sq_norms[:, None] + sq_norms[None, :]) - 2.0 * (points @ points.T)
     np.maximum(dist, 0.0, out=dist)
     dist = np.sqrt(dist)
     np.fill_diagonal(dist, np.inf)
@@ -312,3 +313,112 @@ class TestTieAwareMergeTree:
                 len(points), tree.merges[:n_merges], np.inf
             )
             np.testing.assert_array_equal(tree.labels_at_k(k), expected)
+
+
+class TestCounts:
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            [1.0, 2.0],
+            [1.0, 2.0, 3.0, 4.0],
+            [[1.0, 2.0, 3.0]],
+            [1.0, 0.0, 3.0],
+            [1.0, -2.0, 3.0],
+            [1.0, np.nan, 3.0],
+            [1.0, np.inf, 3.0],
+        ],
+    )
+    def test_bad_counts_raise(self, counts):
+        with pytest.raises(ValueError):
+            build_merge_tree(np.arange(3.0)[:, None], counts=np.array(counts))
+
+    def test_capacity_counts_rows_not_counts(self):
+        tree = build_merge_tree(
+            np.arange(3.0)[:, None], max_points=3, counts=[100, 200, 300]
+        )
+        assert tree.n_points == 3
+
+    def test_counts_weight_average_linkage(self):
+        """0 and 1 merge first; point 2 is 2 from the four copies of 0
+        and 1 from the one of 1, so it joins at (4 * 2 + 1 * 1) / 5, not
+        at the unweighted 1.5."""
+        points = np.array([[0.0], [1.0], [2.0]])
+        tree = build_merge_tree(points, counts=[4, 1, 1])
+        assert tree.merges[1][2] == 9.0 / 5.0
+
+
+# ---------------------------------------------------------------------------
+# A tree over a duplicate-heavy matrix's distinct rows, seeded with their
+# multiplicities, against the tree over every row.  TBPoint's
+# ``_distinct_rows`` takes them in order of first occurrence, so expanded
+# labels are numbered the same way as the full tree's: by smallest member.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _weighted_duplicates(draw):
+    """A few distinct rows, random multiplicities, shuffled."""
+    d = draw(st.integers(1, 3))
+    distinct = draw(
+        st.lists(
+            st.tuples(
+                *[st.floats(-1.0, 1.0, allow_nan=False, width=32)] * d
+            ),
+            min_size=1, max_size=8, unique=True,
+        )
+    )
+    counts = draw(
+        st.lists(st.integers(1, 30), min_size=len(distinct), max_size=len(distinct))
+    )
+    points = np.repeat(np.asarray(distinct, dtype=np.float64), counts, axis=0)
+    order = draw(st.permutations(range(len(points))))
+    return points[list(order)]
+
+
+def _heights(tree):
+    return np.array([dist for _, _, dist in tree.merges])
+
+
+class TestDistinctRowTree:
+    @pytest.mark.parametrize("linkage", ["single", "complete", "average"])
+    @given(points=_weighted_duplicates())
+    @settings(max_examples=60, deadline=None)
+    def test_expanded_labels_match_full_tree(self, linkage, points):
+        rows, counts, inverse = _distinct_rows(points)
+        full = build_merge_tree(points, linkage=linkage)
+        distinct = build_merge_tree(rows, linkage=linkage, counts=counts)
+        heights = np.unique(np.concatenate([_heights(full), _heights(distinct)]))
+        # Besides the sweep, cut midway between merge heights more than
+        # 2e-9 apart (so more than 1e-9 from any), above the ulp-level
+        # heights at which the full tree merges duplicates.
+        between = ((heights[1:] + heights[:-1]) / 2)[np.diff(heights) > 2e-9]
+        sweep = [
+            float(threshold)
+            for threshold in _THRESHOLD_SWEEP
+            if linkage != "average"
+            or not np.any(np.abs(heights - threshold) <= 1e-9)
+        ]
+        for threshold in [*sweep, *between[between > 1e-6]]:
+            np.testing.assert_array_equal(
+                distinct.labels_at_threshold(threshold)[inverse],
+                full.labels_at_threshold(threshold),
+            )
+
+    @pytest.mark.parametrize("linkage", ["single", "complete", "average"])
+    @given(points=_weighted_duplicates())
+    @settings(max_examples=30, deadline=None)
+    def test_unit_counts_are_the_default(self, linkage, points):
+        assert build_merge_tree(points, linkage=linkage).merges == build_merge_tree(
+            points, linkage=linkage, counts=np.ones(len(points))
+        ).merges
+
+    @pytest.mark.parametrize("linkage", ["single", "complete", "average"])
+    @given(points=_weighted_duplicates())
+    @settings(max_examples=30, deadline=None)
+    def test_every_merge_keeps_the_smaller_root(self, linkage, points):
+        rows, counts, _ = _distinct_rows(points)
+        for tree in (
+            build_merge_tree(points, linkage=linkage),
+            build_merge_tree(rows, linkage=linkage, counts=counts),
+        ):
+            assert all(i < j for i, j, _ in tree.merges)
