@@ -73,6 +73,7 @@ from repro.sim.silicon import SiliconExecutor
 from repro.sim.simulator import ModelErrorConfig, Simulator
 from repro.sim.stats import AppRunResult
 from repro.workloads.spec import WorkloadSpec, get_workload, iter_workloads
+from repro.workloads.table import LaunchTable
 
 __all__ = ["CellFailure", "WorkloadEvaluation", "EvaluationHarness"]
 
@@ -154,22 +155,23 @@ class WorkloadEvaluation:
 
     spec: WorkloadSpec
     harness: "EvaluationHarness"
-    # Launch lists and their digests, keyed by the builder that made them
+    # Launch tables and their digests, keyed by the builder that made them
     # (WorkloadSpec.builder_for), so generations that share a builder
-    # build and hash one list.
-    _launches: dict[Callable, list] = field(default_factory=dict)
+    # build and hash one table.
+    _launches: dict[Callable, LaunchTable] = field(default_factory=dict)
     _launch_digests: dict[Callable, str] = field(default_factory=dict)
     _cache: dict[RunKey, object] = field(default_factory=dict)
 
     # -- building blocks ------------------------------------------------
 
-    def launches(self, generation: str = "volta") -> list:
-        """The launch list the workload runs on one GPU generation.
+    def launches(self, generation: str = "volta") -> LaunchTable:
+        """The launch table the workload runs on one GPU generation.
 
         Built once per distinct builder: every generation without a
-        variant builder gets the *same* list object.  The list is shared
-        read-only by every cell of the workload; callers must not mutate
-        it (copy it first).
+        variant builder gets the *same* table.  The table is shared
+        read-only by every cell of the workload.  Digesting it builds no
+        launch object; the first cell that iterates it materialises the
+        launches once, for every later cell.
         """
         builder = self.spec.builder_for(generation)
         if builder not in self._launches:

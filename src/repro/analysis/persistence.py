@@ -42,6 +42,7 @@ from repro.gpu.kernels import KernelLaunch
 from repro.obs import obs_count
 from repro.sim.stats import AppRunResult, KernelRecord
 from repro.traces.format import _launch_from_record, _launch_record
+from repro.workloads.table import LaunchTable
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -303,25 +304,23 @@ def launches_digest(launches: Iterable[KernelLaunch]) -> str:
     behavioural field), the grid, the chronological id and the NVTX
     annotations — everything any method's result can depend on.
 
-    One sha256 pass over all rows.  Launches repeat a few annotation sets
-    many times (MLPerf tags every launch), so each distinct set is
-    rendered once; only all-string sets are reused, since equal strings
-    always render alike (``1`` and ``1.0`` compare equal but do not).
+    The bytes are one ``{id}:{signature}:{grid}:{sorted nvtx items}\n``
+    line per launch.  Everything after the id depends only on the launch's
+    :class:`~repro.workloads.LaunchTable` row, so each distinct row is
+    rendered once and the lines are joined in launch order.  A plain
+    sequence is converted with :meth:`LaunchTable.from_launches` first.
     """
-    rendered: dict[tuple, str] = {}
-    rows = []
-    for launch in launches:
-        items = tuple(launch.nvtx.items())
-        nvtx = rendered.get(items)
-        if nvtx is None:
-            nvtx = f"{sorted(items)}"
-            if all(type(part) is str for pair in items for part in pair):
-                rendered[items] = nvtx
-        rows.append(
-            f"{launch.launch_id}:{launch.spec.signature()}:"
-            f"{launch.grid_blocks}:{nvtx}\n"
-        )
-    return hashlib.sha256("".join(rows).encode("utf-8")).hexdigest()
+    table = LaunchTable.from_launches(launches)
+    signatures = [spec.signature() for spec in table.specs]
+    tags = [f"{sorted(items)}" for items in table.annotations]
+    suffixes = [
+        f":{signatures[spec]}:{grid}:{tags[annotation]}\n"
+        for spec, grid, annotation in table.rows()
+    ]
+    lines = map(
+        str.__add__, map(str, table.ids()), map(suffixes.__getitem__, table.row_index)
+    )
+    return hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
 
 
 def run_digest(

@@ -179,7 +179,7 @@ def _harness_from_args(args: argparse.Namespace) -> EvaluationHarness:
 def _cmd_list(_args: argparse.Namespace) -> int:
     print(f"{'workload':30s} {'suite':10s} {'launches':>9s} {'scale':>7s}")
     for spec in iter_workloads():
-        launches = spec.build()
+        launches = spec.build()  # a table: len() builds no launch objects
         print(
             f"{spec.name:30s} {spec.suite:10s} {len(launches):9d} "
             f"{spec.scale:7.0f}"

@@ -10,6 +10,7 @@ from repro.workloads.generator import (
     tiny_spec,
     workload_rng,
 )
+from repro.workloads.table import LaunchTable
 from repro.workloads.validation import (
     ValidationIssue,
     ValidationReport,
@@ -28,6 +29,7 @@ from repro.workloads.spec import (
 
 __all__ = [
     "LaunchBuilder",
+    "LaunchTable",
     "ValidationIssue",
     "ValidationReport",
     "WorkloadSpec",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from repro.workloads.generator import LaunchBuilder, compute_spec, tensor_spec
 from repro.workloads.spec import WorkloadSpec
+from repro.workloads.table import LaunchTable
 
 __all__ = ["build_suite"]
 
@@ -41,7 +42,7 @@ def _grid_for(m: int, n: int) -> int:
 
 
 def _sgemm_builder(m: int, n: int, k: int):
-    def build() -> list:
+    def build() -> LaunchTable:
         builder = LaunchBuilder()
         spec = compute_spec(
             f"cutlass_sgemm_{m}x{n}x{k}",
@@ -54,13 +55,13 @@ def _sgemm_builder(m: int, n: int, k: int):
             duration_cv=0.03,
         )
         builder.add(spec, _grid_for(m, n), repeat=_REPEATS)
-        return builder.launches()
+        return builder.table()
 
     return build
 
 
 def _wgemm_builder(m: int, n: int, k: int):
-    def build() -> list:
+    def build() -> LaunchTable:
         builder = LaunchBuilder()
         spec = tensor_spec(
             f"cutlass_wmma_{m}x{n}x{k}",
@@ -71,7 +72,7 @@ def _wgemm_builder(m: int, n: int, k: int):
             working_set=2.0 * (m * k + k * n) + 4.0 * m * n,
         )
         builder.add(spec, _grid_for(m, n), repeat=_REPEATS)
-        return builder.launches()
+        return builder.table()
 
     return build
 

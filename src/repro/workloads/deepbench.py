@@ -26,6 +26,7 @@ from repro.workloads.generator import (
     tiny_spec,
 )
 from repro.workloads.spec import WorkloadSpec
+from repro.workloads.table import LaunchTable
 
 __all__ = ["build_suite"]
 
@@ -132,7 +133,7 @@ def _conv_inference_builder(index: int, tensor: bool):
     batch, cin, cout, spatial = _CONV_INPUTS[index]
     tag = f"{'tc' if tensor else 'fp32'}_inf_{index}"
 
-    def build() -> list:
+    def build() -> LaunchTable:
         builder = LaunchBuilder()
         main, bias = _conv_specs(tag, cin + cout, spatial, tensor)
         grid = max(8, batch * spatial * spatial // 64)
@@ -140,7 +141,7 @@ def _conv_inference_builder(index: int, tensor: bool):
         for _ in range(3):  # deepbench repeats each problem a few times
             builder.add(main, grid)
             builder.add(bias, max(1, grid // 8))
-        return builder.launches()
+        return builder.table()
 
     return build
 
@@ -155,7 +156,7 @@ def _conv_training_builder(index: int, tensor: bool, algorithm: str = "winograd"
     batch, cin, cout, spatial = _CONV_INPUTS[index]
     tag = f"{'tc' if tensor else 'fp32'}_train_{index}_{algorithm}"
 
-    def build() -> list:
+    def build() -> LaunchTable:
         builder = LaunchBuilder()
         main, bias = _conv_specs(tag, cin + cout, spatial, tensor)
         dgrad = compute_spec(
@@ -186,7 +187,7 @@ def _conv_training_builder(index: int, tensor: bool, algorithm: str = "winograd"
                     streaming_spec(f"fft2d_r2c_{tag}", loads=18.0, stores=18.0),
                     max(1, grid // 4),
                 )
-        return builder.launches()
+        return builder.table()
 
     return build
 
@@ -196,7 +197,7 @@ def _gemm_builder(index: int, tensor: bool, training: bool):
     mode = "train" if training else "inf"
     tag = f"{'tc' if tensor else 'fp32'}_{mode}_{index}"
 
-    def build() -> list:
+    def build() -> LaunchTable:
         builder = LaunchBuilder()
         if tensor:
             gemm = tensor_spec(
@@ -224,7 +225,7 @@ def _gemm_builder(index: int, tensor: bool, training: bool):
                 streaming_spec(f"sgd_update_{tag}", loads=8.0, stores=8.0),
                 max(1, grid // 4),
             )
-        return builder.launches()
+        return builder.table()
 
     return build
 
@@ -236,7 +237,7 @@ def _rnn_builder(hidden: int, steps: int, tensor: bool, training: bool):
     mode = "train" if training else "inf"
     tag = f"{'tc' if tensor else 'fp32'}_{mode}_h{hidden}"
 
-    def build() -> list:
+    def build() -> LaunchTable:
         builder = LaunchBuilder()
         work = hidden * steps / 8.0
         if tensor:
@@ -272,7 +273,7 @@ def _rnn_builder(hidden: int, steps: int, tensor: bool, training: bool):
             )
             builder.add(bgemm, grid, repeat=4)
             builder.add(pointwise, max(1, grid // 2), repeat=2)
-        return builder.launches()
+        return builder.table()
 
     return build
 

@@ -4,16 +4,19 @@ The suite modules describe workloads in terms of a few archetypal kernel
 behaviours — dense compute, streaming memory, irregular graph traversal,
 tensor-core GEMM — and a launch schedule.  This module provides those
 archetypes plus a :class:`LaunchBuilder` that assigns chronological launch
-ids.
+ids and collects the launches into a :class:`LaunchTable`.
 """
 
 from __future__ import annotations
 
 import zlib
+from array import array
 
 import numpy as np
 
+from repro.errors import WorkloadError
 from repro.gpu.kernels import InstructionMix, KernelLaunch, KernelSpec
+from repro.workloads.table import LaunchTable, _RowInterner
 
 __all__ = [
     "LaunchBuilder",
@@ -36,10 +39,17 @@ def workload_rng(workload_name: str, stream: str = "") -> np.random.Generator:
 
 
 class LaunchBuilder:
-    """Accumulates launches, assigning chronological launch ids."""
+    """Accumulates launches into a :class:`LaunchTable`.
+
+    Launch ids are chronological (``0..n-1``).  ``add`` builds no launch
+    object: it interns the ``(spec, grid, nvtx)`` row and appends its
+    number to the row index.
+    """
 
     def __init__(self) -> None:
-        self._launches: list[KernelLaunch] = []
+        self._rows = _RowInterner()
+        self._row = self._rows.row  # bound once: add() is the hot path
+        self._row_index = array("i")
 
     def add(
         self,
@@ -49,22 +59,38 @@ class LaunchBuilder:
         repeat: int = 1,
         nvtx: dict[str, str] | None = None,
     ) -> None:
-        """Append ``repeat`` launches of ``spec`` with the given grid."""
-        for _ in range(repeat):
-            self._launches.append(
-                KernelLaunch(
-                    spec=spec,
-                    grid_blocks=max(1, int(grid_blocks)),
-                    launch_id=len(self._launches),
-                    nvtx=dict(nvtx) if nvtx else {},
-                )
-            )
+        """Append ``repeat`` launches of ``spec`` with the given grid.
+
+        The grid floors at one block.  A negative ``repeat`` or a NaN or
+        infinite ``grid_blocks`` raises :class:`WorkloadError`.
+        """
+        if repeat < 0:
+            raise WorkloadError(f"repeat must be >= 0, got {repeat!r}")
+        try:
+            grid = int(grid_blocks)
+        except (ValueError, OverflowError) as error:
+            raise WorkloadError(
+                f"grid_blocks must be a finite number, got {grid_blocks!r}"
+            ) from error
+        if grid < 1:
+            grid = 1
+        items = tuple(nvtx.items()) if nvtx else ()
+        if repeat == 1:
+            self._row_index.append(self._row(spec, grid, items))
+        elif repeat:
+            row = self._row(spec, grid, items)
+            self._row_index.extend(array("i", (row,)) * repeat)
+
+    def table(self) -> LaunchTable:
+        """The launches added so far, as a table of their own."""
+        return self._rows.table(array("i", self._row_index))
 
     def launches(self) -> list[KernelLaunch]:
-        return list(self._launches)
+        """A fresh list of the launches added so far."""
+        return self.table().launches()
 
     def __len__(self) -> int:
-        return len(self._launches)
+        return len(self._row_index)
 
 
 def compute_spec(

@@ -24,6 +24,7 @@ from repro.workloads.generator import (
     tiny_spec,
 )
 from repro.workloads.spec import WorkloadSpec
+from repro.workloads.table import LaunchTable
 
 __all__ = ["build_suite"]
 
@@ -101,7 +102,7 @@ class _ResNetKernels:
 def _resnet_builder(batch: int, images: int):
     """ResNet-50 inference over ``images`` images in ``batch``-sized chunks."""
 
-    def build() -> list:
+    def build() -> LaunchTable:
         kernels = _ResNetKernels(batch)
         builder = LaunchBuilder()
         batches = max(1, images // batch)
@@ -148,7 +149,7 @@ def _resnet_builder(batch: int, images: int):
                         nvtx=_nvtx(f"{tag}.fc", batch * 2048))
             builder.add(kernels.softmax, max(1, batch // 16),
                         nvtx=_nvtx(f"{tag}.softmax", batch * 1000))
-        return builder.launches()
+        return builder.table()
 
     return build
 
@@ -160,7 +161,7 @@ def _ssd_training_builder():
     5.3 million kernels at scale=100.
     """
 
-    def build() -> list:
+    def build() -> LaunchTable:
         builder = LaunchBuilder()
         backbone_conv = compute_spec(
             "ssd_implicit_convolve_sgemm", flops=1_200.0, shared=140.0,
@@ -198,7 +199,7 @@ def _ssd_training_builder():
                 builder.add(bn_bwd, 105, nvtx=nvtx)
                 builder.add(elementwise, 52, repeat=2, nvtx=nvtx)
             builder.add(sgd, 16, repeat=30, nvtx=nvtx)
-        return builder.launches()
+        return builder.table()
 
     return build
 
@@ -206,7 +207,7 @@ def _ssd_training_builder():
 def _bert_builder():
     """BERT-large offline inference: 24 transformer layers per batch."""
 
-    def build() -> list:
+    def build() -> LaunchTable:
         builder = LaunchBuilder()
         qkv_gemm = tensor_spec(
             "volta_fp16_s884gemm_fp16_128x128_qkv", tensor_ops=1_024.0,
@@ -242,7 +243,7 @@ def _bert_builder():
                 builder.add(ffn_gemm, 576, repeat=2, nvtx=nvtx)
                 builder.add(gelu, 72, nvtx=nvtx)
                 builder.add(layernorm, 48, nvtx=nvtx)
-        return builder.launches()
+        return builder.table()
 
     return build
 
@@ -250,7 +251,7 @@ def _bert_builder():
 def _gnmt_builder():
     """GNMT training: LSTM encoder/decoder time-step storms."""
 
-    def build() -> list:
+    def build() -> LaunchTable:
         builder = LaunchBuilder()
         lstm_gemm = compute_spec(
             "gnmt_lstm_gemm", flops=1_024.0, shared=128.0, locality=0.8,
@@ -282,7 +283,7 @@ def _gnmt_builder():
                     builder.add(lstm_cell, 32, nvtx=nvtx)
             builder.add(embed_grad, 256, repeat=4, nvtx=nvtx)
             builder.add(adam, 24, repeat=40, nvtx=nvtx)
-        return builder.launches()
+        return builder.table()
 
     return build
 
@@ -290,7 +291,7 @@ def _gnmt_builder():
 def _unet3d_builder():
     """3D-UNet inference on BRATS-like volumes: few, fat conv3d kernels."""
 
-    def build() -> list:
+    def build() -> LaunchTable:
         builder = LaunchBuilder()
         levels = [
             ("enc", 128, 26_000.0, 960),
@@ -318,7 +319,7 @@ def _unet3d_builder():
                 builder.add(norm, max(1, grid // 4), repeat=4, nvtx=nvtx)
                 if stage == "dec":
                     builder.add(upsample, max(1, grid // 2), nvtx=nvtx)
-        return builder.launches()
+        return builder.table()
 
     return build
 

@@ -14,22 +14,23 @@ from repro.workloads.generator import (
     tiny_spec,
 )
 from repro.workloads.spec import WorkloadSpec
+from repro.workloads.table import LaunchTable
 
 __all__ = ["build_suite"]
 
 MIB = 1024 * 1024
 
 
-def _bfs() -> list:
+def _bfs() -> LaunchTable:
     builder = LaunchBuilder()
     kernel = irregular_spec("BFS_kernel", divergence=0.35, duration_cv=0.65)
     frontiers = [2, 18, 160, 900, 2400, 3000, 2100, 800, 150, 20, 4, 1]
     for frontier in frontiers:
         builder.add(kernel, frontier)
-    return builder.launches()
+    return builder.table()
 
 
-def _cutcp() -> list:
+def _cutcp() -> LaunchTable:
     """Three kernel families of 2, 3 and 6 instances (Table 3)."""
     builder = LaunchBuilder()
     lattice = compute_spec("cuda_cutoff_potential_lattice", flops=900.0, shared=120.0)
@@ -38,10 +39,10 @@ def _cutcp() -> list:
     builder.add(setup, 64, repeat=2)
     builder.add(exclusion, 512, repeat=3)
     builder.add(lattice, 1200, repeat=6)
-    return builder.launches()
+    return builder.table()
 
 
-def _histo() -> list:
+def _histo() -> LaunchTable:
     """Four kernel families of 20 instances each (Table 3)."""
     builder = LaunchBuilder()
     prescan = tiny_spec("histo_prescan_kernel", work=45.0)
@@ -59,20 +60,20 @@ def _histo() -> list:
         builder.add(intermediate, 390)
         builder.add(main, 84)
         builder.add(final, 42)
-    return builder.launches()
+    return builder.table()
 
 
-def _mri() -> list:
+def _mri() -> LaunchTable:
     builder = LaunchBuilder()
     phi = compute_spec("ComputePhiMag_GPU", flops=60.0, loads=8.0)
     q_kernel = compute_spec("ComputeQ_GPU", flops=1400.0, loads=10.0, locality=0.85)
     for _ in range(3):
         builder.add(phi, 128)
         builder.add(q_kernel, 640, repeat=2)
-    return builder.launches()
+    return builder.table()
 
 
-def _sad() -> list:
+def _sad() -> LaunchTable:
     builder = LaunchBuilder()
     sad_calc = compute_spec("mb_sad_calc", flops=1_400.0, loads=120.0, locality=0.6)
     sad_8 = streaming_spec("larger_sad_calc_8", loads=14.0, stores=8.0)
@@ -80,10 +81,10 @@ def _sad() -> list:
     builder.add(sad_calc, 792)
     builder.add(sad_8, 99)
     builder.add(sad_16, 99)
-    return builder.launches()
+    return builder.table()
 
 
-def _sgemm() -> list:
+def _sgemm() -> LaunchTable:
     builder = LaunchBuilder()
     gemm = compute_spec(
         "mysgemmNT",
@@ -94,25 +95,25 @@ def _sgemm() -> list:
         threads_per_block=128,
     )
     builder.add(gemm, 1_280)
-    return builder.launches()
+    return builder.table()
 
 
-def _spmv() -> list:
+def _spmv() -> LaunchTable:
     builder = LaunchBuilder()
     kernel = irregular_spec(
         "spmv_jds_naive", divergence=0.55, duration_cv=0.45, sectors=22.0, loads=34.0
     )
     builder.add(kernel, 574, repeat=50)
-    return builder.launches()
+    return builder.table()
 
 
-def _stencil() -> list:
+def _stencil() -> LaunchTable:
     builder = LaunchBuilder()
     kernel = streaming_spec(
         "block2D_hybrid_coarsen_x", loads=26.0, stores=8.0, locality=0.45
     )
     builder.add(kernel, 1024, repeat=100)
-    return builder.launches()
+    return builder.table()
 
 
 def build_suite() -> list[WorkloadSpec]:

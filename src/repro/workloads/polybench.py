@@ -15,22 +15,23 @@ from repro.workloads.generator import (
     tiny_spec,
 )
 from repro.workloads.spec import WorkloadSpec
+from repro.workloads.table import LaunchTable
 
 __all__ = ["build_suite"]
 
 MIB = 1024 * 1024
 
 
-def _conv2d() -> list:
+def _conv2d() -> LaunchTable:
     builder = LaunchBuilder()
     kernel = streaming_spec(
         "Convolution2D_kernel", loads=180.0, stores=20.0, locality=0.55
     )
     builder.add(kernel, 3_072)
-    return builder.launches()
+    return builder.table()
 
 
-def _mm(count: int, prefix: str) -> list:
+def _mm(count: int, prefix: str) -> LaunchTable:
     """2mm / 3mm: a chain of GEMM kernels in one behavioural family."""
     builder = LaunchBuilder()
     for index in range(count):
@@ -42,18 +43,18 @@ def _mm(count: int, prefix: str) -> list:
             working_set=128 * MIB,
         )
         builder.add(gemm, 1_280)
-    return builder.launches()
+    return builder.table()
 
 
-def _conv3d() -> list:
+def _conv3d() -> LaunchTable:
     """3D convolution sweeps one kernel across 254 z-slices."""
     builder = LaunchBuilder()
     kernel = streaming_spec("convolution3D_kernel", loads=54.0, stores=4.0, locality=0.6)
     builder.add(kernel, 256, repeat=254)
-    return builder.launches()
+    return builder.table()
 
 
-def _atax() -> list:
+def _atax() -> LaunchTable:
     """The Figure-5a regular workload: two long streaming mat-vec kernels."""
     builder = LaunchBuilder()
     kernel1 = streaming_spec(
@@ -66,10 +67,10 @@ def _atax() -> list:
     )
     builder.add(kernel1, 1_280)
     builder.add(kernel2, 1_280)
-    return builder.launches()
+    return builder.table()
 
 
-def _bicg() -> list:
+def _bicg() -> LaunchTable:
     builder = LaunchBuilder()
     kernel1 = streaming_spec(
         "bicg_kernel1", loads=650.0, stores=2.0, flops=650.0, locality=0.3
@@ -80,10 +81,10 @@ def _bicg() -> list:
     )
     builder.add(kernel1, 1_280)
     builder.add(kernel2, 1_280)
-    return builder.launches()
+    return builder.table()
 
 
-def _correlation() -> list:
+def _correlation() -> LaunchTable:
     """Long-running multi-kernel statistics app (full sim takes weeks)."""
     builder = LaunchBuilder()
     mean = streaming_spec("mean_kernel", loads=240.0, stores=2.0, locality=0.35)
@@ -99,10 +100,10 @@ def _correlation() -> list:
     builder.add(std, 1_280)
     builder.add(reduce_k, 1_280)
     builder.add(corr, 1_280)
-    return builder.launches()
+    return builder.table()
 
 
-def _covariance() -> list:
+def _covariance() -> LaunchTable:
     builder = LaunchBuilder()
     mean = streaming_spec(
         "covar_mean_kernel", loads=240.0, stores=2.0, locality=0.35
@@ -121,10 +122,10 @@ def _covariance() -> list:
     builder.add(mean, 1_280)
     builder.add(reduce_k, 1_280)
     builder.add(covar, 1_280)
-    return builder.launches()
+    return builder.table()
 
 
-def _fdtd2d() -> list:
+def _fdtd2d() -> LaunchTable:
     """500 time steps x 3 kernels; two of the three cluster together.
 
     Table 3: PKS selects kernel ids 0 and 2 to represent groups of 1000
@@ -143,29 +144,29 @@ def _fdtd2d() -> list:
         builder.add(step_ex, 1_024)
         builder.add(step_ey, 1_024)
         builder.add(step_hz, 1_024)
-    return builder.launches()
+    return builder.table()
 
 
-def _gemm() -> list:
+def _gemm() -> LaunchTable:
     builder = LaunchBuilder()
     kernel = compute_spec(
         "gemm_kernel", flops=18_000.0, shared=1_500.0, locality=0.8,
         working_set=160 * MIB,
     )
     builder.add(kernel, 1_280)
-    return builder.launches()
+    return builder.table()
 
 
-def _gesummv() -> list:
+def _gesummv() -> LaunchTable:
     builder = LaunchBuilder()
     kernel = streaming_spec(
         "gesummv_kernel", loads=1_000.0, stores=2.0, flops=900.0, locality=0.25
     )
     builder.add(kernel, 1_280)
-    return builder.launches()
+    return builder.table()
 
 
-def _gramschmidt() -> list:
+def _gramschmidt() -> LaunchTable:
     """2137 iterations x 3 kernels = 6411 launches in ~6 natural groups.
 
     The per-iteration grids shrink as the factorization proceeds, so the
@@ -191,10 +192,10 @@ def _gramschmidt() -> list:
         builder.add(scale, max(1, min(16, remaining // 128)))
         update_grid = next(g for bound, g in plateaus if remaining > bound)
         builder.add(update, update_grid)
-    return builder.launches()
+    return builder.table()
 
 
-def _mvt() -> list:
+def _mvt() -> LaunchTable:
     builder = LaunchBuilder()
     kernel1 = streaming_spec(
         "mvt_kernel1", loads=680.0, stores=2.0, flops=680.0, locality=0.3
@@ -205,10 +206,10 @@ def _mvt() -> list:
     )
     builder.add(kernel1, 1_280)
     builder.add(kernel2, 1_280)
-    return builder.launches()
+    return builder.table()
 
 
-def _syr2k() -> list:
+def _syr2k() -> LaunchTable:
     """One enormous kernel; only intra-kernel reduction (PKP) helps."""
     builder = LaunchBuilder()
     kernel = compute_spec(
@@ -221,10 +222,10 @@ def _syr2k() -> list:
         duration_cv=0.04,
     )
     builder.add(kernel, 36_000)
-    return builder.launches()
+    return builder.table()
 
 
-def _syrk() -> list:
+def _syrk() -> LaunchTable:
     builder = LaunchBuilder()
     kernel = compute_spec(
         "syrk_kernel",
@@ -236,7 +237,7 @@ def _syrk() -> list:
         duration_cv=0.04,
     )
     builder.add(kernel, 4_096)
-    return builder.launches()
+    return builder.table()
 
 
 def build_suite() -> list[WorkloadSpec]:

@@ -18,13 +18,14 @@ from repro.workloads.generator import (
     tiny_spec,
 )
 from repro.workloads.spec import WorkloadSpec
+from repro.workloads.table import LaunchTable
 
 __all__ = ["build_suite"]
 
 MIB = 1024 * 1024
 
 
-def _btree() -> list:
+def _btree() -> LaunchTable:
     builder = LaunchBuilder()
     find_k = irregular_spec(
         "findK", divergence=0.7, duration_cv=0.2, loads=190.0, working_set=96 * MIB
@@ -35,19 +36,19 @@ def _btree() -> list:
     )
     builder.add(find_k, 1_280)
     builder.add(find_range, 1_280)
-    return builder.launches()
+    return builder.table()
 
 
-def _backprop() -> list:
+def _backprop() -> LaunchTable:
     builder = LaunchBuilder()
     forward = compute_spec("bpnn_layerforward", flops=900.0, shared=240.0)
     adjust = streaming_spec("bpnn_adjust_weights", loads=80.0, stores=64.0)
     builder.add(forward, 1_024)
     builder.add(adjust, 1_024)
-    return builder.launches()
+    return builder.table()
 
 
-def _bfs(levels: int, peak_blocks: int, name_prefix: str) -> list:
+def _bfs(levels: int, peak_blocks: int, name_prefix: str) -> LaunchTable:
     """Level-synchronous BFS: frontier grows then shrinks across launches.
 
     Frontier sizes are quantized to powers of four (the runtime rounds
@@ -68,10 +69,10 @@ def _bfs(levels: int, peak_blocks: int, name_prefix: str) -> list:
         frontier = int(4 ** round(math.log(raw, 4)))
         builder.add(kernel1, frontier)
         builder.add(kernel2, frontier)
-    return builder.launches()
+    return builder.table()
 
 
-def _dwt2d(levels: int, base_blocks: int, suffix: str) -> list:
+def _dwt2d(levels: int, base_blocks: int, suffix: str) -> LaunchTable:
     """Wavelet transform: per-level kernel pairs on shrinking images."""
     builder = LaunchBuilder()
     fdwt = compute_spec(f"fdwt53Kernel_{suffix}", flops=180.0, locality=0.6)
@@ -79,10 +80,10 @@ def _dwt2d(levels: int, base_blocks: int, suffix: str) -> list:
     builder.add(copy, base_blocks)
     for level in range(levels):
         builder.add(fdwt, max(1, base_blocks >> (2 * level)))
-    return builder.launches()
+    return builder.table()
 
 
-def _gaussian(matrix_size: int, blocks_hint: int) -> list:
+def _gaussian(matrix_size: int, blocks_hint: int) -> LaunchTable:
     """Gaussian elimination: Fan1+Fan2 per row over a shrinking matrix.
 
     Launches 2*(size-1) kernels that PKS clusters into one or two groups
@@ -96,19 +97,19 @@ def _gaussian(matrix_size: int, blocks_hint: int) -> list:
         grid = max(1, int(blocks_hint * remaining / matrix_size))
         builder.add(fan1, max(1, grid // 4))
         builder.add(fan2, grid)
-    return builder.launches()
+    return builder.table()
 
 
-def _hotspot(grid_blocks: int, suffix: str) -> list:
+def _hotspot(grid_blocks: int, suffix: str) -> LaunchTable:
     builder = LaunchBuilder()
     kernel = compute_spec(
         f"calculate_temp_{suffix}", flops=900.0, locality=0.75, shared=240.0
     )
     builder.add(kernel, grid_blocks)
-    return builder.launches()
+    return builder.table()
 
 
-def _hybridsort(passes: int, name: str, histogram_blocks: int) -> list:
+def _hybridsort(passes: int, name: str, histogram_blocks: int) -> LaunchTable:
     """Hybridsort: histogram + bucket + many uneven merge-sort passes.
 
     The merge passes repeat the same few launch geometries (grids are
@@ -130,10 +131,10 @@ def _hybridsort(passes: int, name: str, histogram_blocks: int) -> list:
     builder.add(bucketsort, histogram_blocks, repeat=2)
     for pass_index in range(passes):
         builder.add(mergesort, max(1, merge_grids[pass_index % len(merge_grids)]))
-    return builder.launches()
+    return builder.table()
 
 
-def _kmeans(points_blocks: int, iterations: int, name: str) -> list:
+def _kmeans(points_blocks: int, iterations: int, name: str) -> LaunchTable:
     builder = LaunchBuilder()
     assign = streaming_spec(
         f"{name}_kmeansPoint", loads=40.0, stores=4.0, locality=0.3, duration_cv=0.1
@@ -142,10 +143,10 @@ def _kmeans(points_blocks: int, iterations: int, name: str) -> list:
     builder.add(swap, points_blocks)
     for _ in range(iterations):
         builder.add(assign, points_blocks)
-    return builder.launches()
+    return builder.table()
 
 
-def _lavamd() -> list:
+def _lavamd() -> LaunchTable:
     builder = LaunchBuilder()
     kernel = compute_spec(
         "kernel_gpu_cuda",
@@ -158,10 +159,10 @@ def _lavamd() -> list:
         duration_cv=0.06,
     )
     builder.add(kernel, 1_280)
-    return builder.launches()
+    return builder.table()
 
 
-def _lud(matrix_blocks: int, name: str) -> list:
+def _lud(matrix_blocks: int, name: str) -> LaunchTable:
     """LU decomposition: diagonal/perimeter/internal per iteration."""
     builder = LaunchBuilder()
     diagonal = tiny_spec(f"{name}_lud_diagonal", work=120.0)
@@ -173,32 +174,32 @@ def _lud(matrix_blocks: int, name: str) -> list:
         builder.add(perimeter, max(1, remaining))
         builder.add(internal, max(1, remaining * remaining))
     builder.add(diagonal, 1)
-    return builder.launches()
+    return builder.table()
 
 
-def _myocyte() -> list:
+def _myocyte() -> LaunchTable:
     """Excluded in the paper: profiling and tracing runs mismatch."""
     builder = LaunchBuilder()
     solver = irregular_spec("myocyte_solver_2", divergence=0.3, duration_cv=0.4)
     builder.add(solver, 2, repeat=40)
-    return builder.launches()
+    return builder.table()
 
 
-def _pathfinder() -> list:
+def _pathfinder() -> LaunchTable:
     builder = LaunchBuilder()
     dynproc = compute_spec("dynproc_kernel", flops=110.0, shared=90.0, locality=0.6)
     builder.add(dynproc, 463, repeat=5)
-    return builder.launches()
+    return builder.table()
 
 
-def _nn() -> list:
+def _nn() -> LaunchTable:
     builder = LaunchBuilder()
     euclid = streaming_spec("euclid", loads=130.0, stores=30.0, locality=0.1)
     builder.add(euclid, 640)
-    return builder.launches()
+    return builder.table()
 
 
-def _nw() -> list:
+def _nw() -> LaunchTable:
     """Needleman-Wunsch: two alternating kernels over a triangular sweep.
 
     Every launch is latency-bound (tiny per-diagonal grids), so despite
@@ -220,10 +221,10 @@ def _nw() -> list:
         builder.add(kernel1, diag)
     for diag in range(diagonals, 0, -1):
         builder.add(kernel2, diag)
-    return builder.launches()
+    return builder.table()
 
 
-def _streamcluster() -> list:
+def _streamcluster() -> LaunchTable:
     builder = LaunchBuilder()
     pgain = irregular_spec(
         "kernel_compute_cost", divergence=0.5, duration_cv=0.35, loads=50.0
@@ -232,17 +233,17 @@ def _streamcluster() -> list:
     for _ in range(129):
         builder.add(pgain, 512)
         builder.add(center, 16)
-    return builder.launches()
+    return builder.table()
 
 
-def _srad_v1() -> list:
+def _srad_v1() -> LaunchTable:
     builder = LaunchBuilder()
     srad1 = streaming_spec("srad_cuda_1", loads=28.0, stores=8.0, locality=0.4)
     srad2 = streaming_spec("srad_cuda_2", loads=24.0, stores=8.0, locality=0.4)
     for _ in range(100):
         builder.add(srad1, 1024)
         builder.add(srad2, 1024)
-    return builder.launches()
+    return builder.table()
 
 
 def build_suite() -> list[WorkloadSpec]:

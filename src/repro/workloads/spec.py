@@ -15,13 +15,15 @@ from __future__ import annotations
 import re
 import threading
 import zlib
-from collections.abc import Callable, Iterator
+from array import array
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from random import Random
 
 from repro.errors import WorkloadError
 from repro.gpu.architectures import GPUConfig
 from repro.gpu.kernels import KernelLaunch, KernelSpec
+from repro.workloads.table import LaunchTable, _RowInterner
 
 __all__ = [
     "WorkloadSpec",
@@ -33,7 +35,7 @@ __all__ = [
     "clear_registry",
 ]
 
-Builder = Callable[[], list[KernelLaunch]]
+Builder = Callable[[], Sequence[KernelLaunch]]
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,8 @@ class WorkloadSpec:
     name / suite:
         Identifiers; ``name`` is unique across the registry.
     builder:
-        Zero-argument callable producing the deterministic launch list.
+        Zero-argument callable producing the deterministic launch list
+        (the suites return a :class:`~repro.workloads.LaunchTable`).
     scale:
         Launch-count downscale applied by the generator: the paper-sized
         workload launches ``scale`` times more kernels than ``build()``
@@ -92,9 +95,13 @@ class WorkloadSpec:
             return self.variant_builders[generation]
         return self.builder
 
-    def build(self, generation: str | None = None) -> list[KernelLaunch]:
-        """Build the launch list, optionally for a specific GPU generation."""
-        return self.builder_for(generation)()
+    def build(self, generation: str | None = None) -> LaunchTable:
+        """Build the launch table, optionally for a specific GPU generation.
+
+        A builder that returns a plain launch list is wrapped with
+        :meth:`LaunchTable.from_launches`, which keeps its launch ids.
+        """
+        return LaunchTable.from_launches(self.builder_for(generation)())
 
     def fits_on(self, gpu: GPUConfig) -> bool:
         """Whether the workload's footprint fits in the GPU's memory."""
@@ -197,37 +204,31 @@ def _jittered(rng: Random, value: float, spread: float = ND_JITTER) -> float:
 
 
 def _perturb_launches(
-    launches: list[KernelLaunch], derived_name: str
-) -> list[KernelLaunch]:
+    launches: Sequence[KernelLaunch], derived_name: str
+) -> LaunchTable:
     """Deterministically jitter a launch stream into a near duplicate.
 
     Each distinct kernel spec gets one mix-scale draw (so repeats of a
     kernel stay self-consistent, as a recompiled binary's would) and each
     launch gets an independent grid draw.  All draws come from one RNG
     seeded by the derived name, and launches are visited in stream order,
-    so every process derives bit-identical variants.
+    so every process derives bit-identical variants.  The table keeps the
+    base's annotation sets and launch ids; no launch object is built.
     """
+    base = LaunchTable.from_launches(launches)
     rng = Random(zlib.crc32(f"{derived_name}/near-duplicate".encode("utf-8")))
     perturbed: dict[int, KernelSpec] = {}
-    out: list[KernelLaunch] = []
-    for launch in launches:
-        signature = launch.spec.signature()
-        spec = perturbed.get(signature)
-        if spec is None:
-            spec = launch.spec.with_mix(
-                launch.spec.mix.scaled(max(0.5, _jittered(rng, 1.0)))
-            )
-            perturbed[signature] = spec
-        grid = max(1, round(_jittered(rng, float(launch.grid_blocks))))
-        out.append(
-            KernelLaunch(
-                spec=spec,
-                grid_blocks=grid,
-                launch_id=launch.launch_id,
-                nvtx=dict(launch.nvtx),
-            )
-        )
-    return out
+    rows = _RowInterner()
+    row_index = array("i")
+    for spec, grid, items in map(base.shapes().__getitem__, base.row_index):
+        signature = spec.signature()
+        jittered = perturbed.get(signature)
+        if jittered is None:
+            jittered = spec.with_mix(spec.mix.scaled(max(0.5, _jittered(rng, 1.0))))
+            perturbed[signature] = jittered
+        grid = max(1, round(_jittered(rng, float(grid))))
+        row_index.append(rows.row(jittered, grid, items))
+    return rows.table(row_index, base.launch_ids)
 
 
 def _derived_workload(name: str) -> WorkloadSpec | None:

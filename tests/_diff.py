@@ -25,7 +25,10 @@ This module provides
   which every on-disk cache key was derived from;
 * :func:`reference_select_tbpoint` / :func:`reference_build_merge_tree`
   — TBPoint clustering one merge tree over every launch (the full n x n
-  matrix), against which the distinct-row tree is checked.
+  matrix), against which the distinct-row tree is checked;
+* :class:`ReferenceLaunchBuilder` / :func:`reference_perturb_launches` —
+  the list-based launch builder and near-duplicate derivation, against
+  which the launch table's materialised launches are checked.
 """
 
 from __future__ import annotations
@@ -33,8 +36,10 @@ from __future__ import annotations
 import hashlib
 import heapq
 import struct
+import zlib
 from collections.abc import Sequence
 from contextlib import contextmanager
+from random import Random
 
 import numpy as np
 
@@ -47,6 +52,7 @@ from repro.baselines.tbpoint import (
 from repro.core.features import FeaturePipeline, profile_feature_matrix
 from repro.core.pkp import IPCStabilityMonitor
 from repro.errors import ReproError
+from repro.gpu.kernels import KernelLaunch, KernelSpec
 from repro.mlkit import ClusteringCapacityError, MergeTree
 from repro.mlkit._checks import require_finite
 from repro.mlkit.hierarchical import _LINKAGES
@@ -54,13 +60,16 @@ from repro.profiling.detailed import DetailedProfile
 from repro.sim import engine
 from repro.sim.engine import KernelSimResult, WindowSample, fold_chunk_ranges
 from repro.sim.stats import AppRunResult, KernelRecord
+from repro.workloads.spec import _jittered
 
 __all__ = [
+    "ReferenceLaunchBuilder",
     "assert_bitwise_equal",
     "diff_results",
     "float_bits",
     "reference_build_merge_tree",
     "reference_launches_digest",
+    "reference_perturb_launches",
     "reference_select_tbpoint",
     "reference_windowed_engine",
     "scalar_engine",
@@ -605,3 +614,77 @@ def reference_select_tbpoint(
             best = selection
     assert best is not None
     return best
+
+
+# ---------------------------------------------------------------------------
+# List-based references for the launch table.
+# ---------------------------------------------------------------------------
+# ``LaunchBuilder`` and ``_perturb_launches`` as they stood before launch
+# lists became tables: one ``KernelLaunch`` per launch, built as it is
+# added.  Only the names differ.
+
+
+class ReferenceLaunchBuilder:
+    """Accumulates launches, assigning chronological launch ids."""
+
+    def __init__(self) -> None:
+        self._launches: list[KernelLaunch] = []
+
+    def add(
+        self,
+        spec: KernelSpec,
+        grid_blocks: int,
+        *,
+        repeat: int = 1,
+        nvtx: dict[str, str] | None = None,
+    ) -> None:
+        """Append ``repeat`` launches of ``spec`` with the given grid."""
+        for _ in range(repeat):
+            self._launches.append(
+                KernelLaunch(
+                    spec=spec,
+                    grid_blocks=max(1, int(grid_blocks)),
+                    launch_id=len(self._launches),
+                    nvtx=dict(nvtx) if nvtx else {},
+                )
+            )
+
+    def launches(self) -> list[KernelLaunch]:
+        return list(self._launches)
+
+    def __len__(self) -> int:
+        return len(self._launches)
+
+
+def reference_perturb_launches(
+    launches: list[KernelLaunch], derived_name: str
+) -> list[KernelLaunch]:
+    """Deterministically jitter a launch stream into a near duplicate.
+
+    Each distinct kernel spec gets one mix-scale draw (so repeats of a
+    kernel stay self-consistent, as a recompiled binary's would) and each
+    launch gets an independent grid draw.  All draws come from one RNG
+    seeded by the derived name, and launches are visited in stream order,
+    so every process derives bit-identical variants.
+    """
+    rng = Random(zlib.crc32(f"{derived_name}/near-duplicate".encode("utf-8")))
+    perturbed: dict[int, KernelSpec] = {}
+    out: list[KernelLaunch] = []
+    for launch in launches:
+        signature = launch.spec.signature()
+        spec = perturbed.get(signature)
+        if spec is None:
+            spec = launch.spec.with_mix(
+                launch.spec.mix.scaled(max(0.5, _jittered(rng, 1.0)))
+            )
+            perturbed[signature] = spec
+        grid = max(1, round(_jittered(rng, float(launch.grid_blocks))))
+        out.append(
+            KernelLaunch(
+                spec=spec,
+                grid_blocks=grid,
+                launch_id=launch.launch_id,
+                nvtx=dict(launch.nvtx),
+            )
+        )
+    return out

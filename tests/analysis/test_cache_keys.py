@@ -21,8 +21,8 @@ from repro.analysis import EvaluationHarness
 from repro.analysis.persistence import _jsonable, launches_digest
 from repro.gpu import ALL_GPUS, InstructionMix, KernelLaunch, KernelSpec
 from repro.gpu import volta_v100_half_sms
-from repro.workloads import get_workload
-from tests._diff import reference_launches_digest
+from repro.workloads import LaunchBuilder, LaunchTable, get_workload, workload_names
+from tests._diff import ReferenceLaunchBuilder, reference_launches_digest
 
 GENERATIONS = ("volta", "turing", "ampere")
 
@@ -104,6 +104,8 @@ def test_cell_digests_pinned(fresh_harness, name):
 #: NVTX values that compare equal across types but render differently,
 #: so a reused rendering keyed by equality alone would show up here.
 _TRICKY_VALUES = st.sampled_from([1, 1.0, True, 0.0, -0.0, "1", "1.0"])
+#: By ``repr``: an equal value of another type (or sign) per tricky value.
+_TWINS = {"1": 1.0, "1.0": True, "True": 1, "0.0": -0.0, "-0.0": 0.0}
 
 
 @st.composite
@@ -111,7 +113,9 @@ def launch_lists(draw):
     """Launch lists over a few specs with arbitrary ids, grids and NVTX.
 
     Launches draw their annotations from a small pool (copied per
-    launch, as the workload builders do), so equal sets repeat.
+    launch, as the workload builders do), so equal sets repeat.  Each
+    pooled set has a twin that compares equal but holds differently
+    typed (or signed) values wherever :data:`_TWINS` has one.
     """
     specs = [
         KernelSpec(
@@ -127,6 +131,10 @@ def launch_lists(draw):
         max_size=4,
     )
     pool = draw(st.lists(annotations, min_size=1, max_size=4))
+    pool += [
+        {key: _TWINS.get(repr(value), value) for key, value in nvtx.items()}
+        for nvtx in pool
+    ]
     return [
         KernelLaunch(
             spec=draw(st.sampled_from(specs)),
@@ -141,7 +149,54 @@ def launch_lists(draw):
 @settings(max_examples=200, deadline=None)
 @given(launch_lists())
 def test_launches_digest_matches_per_row_reference(launches):
-    assert launches_digest(launches) == reference_launches_digest(launches)
+    expected = reference_launches_digest(launches)
+    assert launches_digest(launches) == expected
+    table = LaunchTable.from_launches(launches)
+    assert launches_digest(table) == expected
+    # A table without its given launch objects digests the same rows.
+    bare = LaunchTable(
+        table.specs, table.annotations, table.row_specs, table.row_grids,
+        table.row_annotations, table.row_index, table.launch_ids,
+    )
+    assert launches_digest(bare) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(launch_lists())
+def test_builder_replay_digest_matches_reference_builder(launches):
+    """The same ``add`` calls give the reference builder's digest.
+
+    Each drawn launch is replayed with ``repeat = launch_id % 3``, so
+    runs of repeats and empty adds are covered too.
+    """
+    builder, reference = LaunchBuilder(), ReferenceLaunchBuilder()
+    for launch in launches:
+        for target in (builder, reference):
+            target.add(
+                launch.spec, launch.grid_blocks,
+                repeat=launch.launch_id % 3, nvtx=launch.nvtx,
+            )
+    expected = reference_launches_digest(reference.launches())
+    assert launches_digest(builder.table()) == expected
+    assert launches_digest(builder.launches()) == expected
+
+
+@pytest.mark.parametrize("name", workload_names())
+def test_corpus_table_digests_match_reference(name):
+    """Every launch table of the corpus digests like its launch list.
+
+    Covers each distinct per-generation builder and one near duplicate.
+    The row-rendered digest runs before the table is materialised.
+    """
+    base = get_workload(name)
+    tables = {
+        id(base.builder_for(generation)): base.build(generation)
+        for generation in GENERATIONS
+    }
+    tables["nd"] = get_workload(f"{name}~nd1").build()
+    for label, table in tables.items():
+        digest = launches_digest(table)
+        assert digest == reference_launches_digest(table.launches()), label
 
 
 @pytest.mark.parametrize(

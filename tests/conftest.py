@@ -8,6 +8,8 @@ computed once.
 from __future__ import annotations
 
 import os
+import sys
+from collections import Counter
 
 import pytest
 
@@ -36,6 +38,26 @@ def _isolated_tracer():
     obs.reset()
     yield
     obs.reset()
+
+
+@pytest.fixture
+def launch_constructions(monkeypatch) -> Counter:
+    """Counts every :class:`KernelLaunch` constructed during the test.
+
+    Keyed by the name of the function that called the constructor, so a
+    test can tell a per-launch build from, say, a cached selection's
+    representatives being deserialized.
+    """
+    made: Counter = Counter()
+    original = KernelLaunch.__post_init__
+
+    def counting(self) -> None:
+        # Frame 0 is this hook, 1 the dataclass __init__, 2 its caller.
+        made[sys._getframe(2).f_code.co_name] += 1
+        original(self)
+
+    monkeypatch.setattr(KernelLaunch, "__post_init__", counting)
+    return made
 
 
 @pytest.fixture

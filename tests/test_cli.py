@@ -47,6 +47,11 @@ class TestCommands:
         assert "gramschmidt" in out
         assert "mlperf_ssd_training" in out
 
+    def test_list_builds_no_launches(self, capsys, launch_constructions):
+        assert main(["list"]) == 0
+        assert "mlperf_ssd_training" in capsys.readouterr().out
+        assert not launch_constructions
+
     def test_characterize(self, capsys):
         assert main(["characterize", "histo"]) == 0
         out = capsys.readouterr().out

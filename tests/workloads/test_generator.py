@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import math
+
+import pytest
+
+from repro.errors import WorkloadError
 from repro.gpu import VOLTA_V100
 from repro.sim import analyze_kernel
 from repro.gpu.kernels import KernelLaunch
 from repro.workloads import (
     LaunchBuilder,
+    LaunchTable,
     compute_spec,
     irregular_spec,
     streaming_spec,
@@ -43,6 +49,48 @@ class TestLaunchBuilder:
         builder = LaunchBuilder()
         builder.add(tiny_spec("a"), 1, repeat=5)
         assert len(builder) == 5
+
+    def test_negative_repeat_rejected(self):
+        builder = LaunchBuilder()
+        with pytest.raises(WorkloadError, match="repeat"):
+            builder.add(tiny_spec("a"), 4, repeat=-1)
+        assert len(builder) == 0
+
+    @pytest.mark.parametrize("grid", [math.nan, math.inf, -math.inf])
+    def test_non_finite_grid_rejected(self, grid):
+        builder = LaunchBuilder()
+        with pytest.raises(WorkloadError, match="grid_blocks"):
+            builder.add(tiny_spec("a"), grid)
+        assert len(builder) == 0
+
+    def test_zero_repeat_adds_nothing(self):
+        builder = LaunchBuilder()
+        builder.add(tiny_spec("a"), 4, repeat=0)
+        assert len(builder) == 0
+        assert list(builder.table().rows()) == []
+
+    def test_table_interns_repeated_rows(self):
+        builder = LaunchBuilder()
+        a, b = tiny_spec("a"), tiny_spec("b")
+        builder.add(a, 4, repeat=3, nvtx={"layer": "x"})
+        builder.add(b, 4)
+        builder.add(a, 4, nvtx={"layer": "x"})
+        builder.add(a, 8)
+        table = builder.table()
+        assert isinstance(table, LaunchTable)
+        assert table.specs == [a, b]
+        assert table.annotations == [(("layer", "x"),), ()]
+        assert list(table.rows()) == [(0, 4, 0), (1, 4, 1), (0, 8, 1)]
+        assert list(table.row_index) == [0, 0, 0, 1, 0, 2]
+        assert table.launch_ids is None
+
+    def test_table_is_a_snapshot(self):
+        builder = LaunchBuilder()
+        builder.add(tiny_spec("a"), 4)
+        table = builder.table()
+        builder.add(tiny_spec("b"), 8)
+        assert len(table) == 1 and len(table.row_grids) == 1
+        assert len(builder.table()) == 2
 
 
 class TestArchetypes:
