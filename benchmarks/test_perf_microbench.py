@@ -2,7 +2,8 @@
 
 These are genuine multi-round pytest-benchmark measurements (everything
 else in this suite times one-shot artifact regeneration): the DES engine,
-the windowed engine, a PKP-monitored kernel, k-means clustering at PKS
+the windowed engine, PKP-monitored kernels (one that stabilises, one
+that never does), k-means clustering at PKS
 scale, the TBPoint merge tree, and the analytic silicon model — plus
 wall-clock records for the execution backends (serial versus process
 pool) and the on-disk run cache (cold versus warm corpus sweep).
@@ -28,14 +29,14 @@ from repro.sim import (
 )
 
 
-def _launch(grid: int) -> KernelLaunch:
+def _launch(grid: int, duration_cv: float = 0.1) -> KernelLaunch:
     spec = KernelSpec(
         name="microbench",
         threads_per_block=256,
         mix=InstructionMix(fp_ops=500.0, global_loads=20.0, shared_loads=80.0),
         l2_locality=0.7,
         working_set_bytes=32e6,
-        duration_cv=0.1,
+        duration_cv=duration_cv,
     )
     return KernelLaunch(spec=spec, grid_blocks=grid, launch_id=0)
 
@@ -62,6 +63,17 @@ def test_pkp_monitored_kernel(benchmark):
     projection = benchmark(run_pkp, simulator, launch, PKPConfig())
     assert projection.stopped_early
     assert projection.result.blocks_finished < launch.grid_blocks
+
+
+def test_pkp_monitored_irregular_kernel(benchmark):
+    """The stability monitor's worst case: a BFS-like kernel whose IPC
+    never settles, so every window is judged and the kernel runs to
+    completion under the monitor."""
+    launch = _launch(4_000, duration_cv=0.8)
+    simulator = Simulator(VOLTA_V100)
+    projection = benchmark(run_pkp, simulator, launch, PKPConfig())
+    assert not projection.stopped_early
+    assert projection.result.blocks_finished == launch.grid_blocks
 
 
 def test_analytic_model_is_fast(benchmark):

@@ -130,20 +130,21 @@ def figure5_ipc_series(
     simulator = harness.simulator(VOLTA_V100)
     full = simulator.run_kernel(launch, collect_series=True)
 
+    cycles = [sample.cycle for sample in full.samples]
+    ipc = [sample.ipc for sample in full.samples]
+    finished = [sample.blocks_finished for sample in full.samples]
     stop_points: dict[float, float | None] = {}
     for threshold in thresholds:
         config = PKPConfig(stability_threshold=threshold)
         monitor = make_monitor(launch, simulator.gpu, config)
-        for sample in full.samples:
-            if monitor.observe(sample):
-                break
+        monitor.observe_windows(cycles, ipc, finished)
         stop_points[threshold] = monitor.stop_cycle
 
     return IPCSeries(
         workload=workload,
         kernel_name=launch.spec.name,
-        cycles=tuple(sample.cycle for sample in full.samples),
-        ipc=tuple(sample.ipc for sample in full.samples),
+        cycles=tuple(cycles),
+        ipc=tuple(ipc),
         l2_miss_rate=tuple(sample.l2_miss_rate for sample in full.samples),
         dram_util=tuple(sample.dram_util for sample in full.samples),
         stop_points=stop_points,

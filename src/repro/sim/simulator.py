@@ -15,6 +15,7 @@ Wraps the per-kernel discrete-event engine with
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
@@ -142,6 +143,10 @@ class Simulator:
                 "pass either backend or intra_jobs, not both: at the "
                 "simulator level they name the same worker pool"
             )
+        if not (math.isfinite(window_cycles) and window_cycles > 0):
+            raise ConfigurationError(
+                f"window_cycles must be positive and finite, got {window_cycles!r}"
+            )
         self.gpu = gpu
         self.model_error = model_error if model_error is not None else ModelErrorConfig()
         self.window_cycles = window_cycles
@@ -201,7 +206,9 @@ class Simulator:
             launch,
             self.gpu,
             bias=self.kernel_bias(launch),
-            window_cycles=window_cycles if window_cycles else self.window_cycles,
+            window_cycles=(
+                self.window_cycles if window_cycles is None else window_cycles
+            ),
             monitor=monitor,
             collect_series=collect_series,
             # Plain full runs may shard one huge kernel's blocks across

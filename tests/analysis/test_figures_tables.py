@@ -6,15 +6,20 @@ builders' shapes and basic invariants using the shared session harness.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.analysis import (
     figure4_group_composition,
     figure5_ipc_series,
     table3_pks_examples,
     table4_rows,
 )
+from repro.core import PKPConfig
 from repro.profiling import compute_time_landscape
 from repro.gpu import VOLTA_V100
+from repro.gpu.occupancy import compute_occupancy
 from repro.workloads import get_workload
+from tests._diff import ReferenceStabilityMonitor
 
 
 class TestTable3:
@@ -81,6 +86,27 @@ class TestFigure5:
         series = figure5_ipc_series(harness, "atax")
         assert len(series.cycles) == len(series.ipc) == len(series.dram_util)
         assert set(series.stop_points) == {2.5, 0.25, 0.025}
+
+    @pytest.mark.parametrize(("workload", "index"), [("atax", 0), ("bfs1MW", 24)])
+    def test_stop_points_match_per_window_reference(self, harness, workload, index):
+        """One block judgement per threshold stops where feeding the
+        per-window reference monitor one sample at a time does."""
+        series = figure5_ipc_series(harness, workload, launch_index=index)
+        launch = harness.evaluation(workload).launches("volta")[index]
+        samples = harness.simulator(VOLTA_V100).run_kernel(
+            launch, collect_series=True
+        ).samples
+        for threshold, stop in series.stop_points.items():
+            occupancy = compute_occupancy(launch.spec, VOLTA_V100)
+            reference = ReferenceStabilityMonitor(
+                wave_size=occupancy.wave_size,
+                grid_blocks=launch.grid_blocks,
+                config=PKPConfig(stability_threshold=threshold),
+            )
+            for sample in samples:
+                if reference.observe(sample):
+                    break
+            assert stop == reference.stop_cycle
 
     def test_looser_threshold_stops_no_later(self, harness):
         series = figure5_ipc_series(harness, "atax")

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import IPCStabilityMonitor, PKPConfig, make_monitor, run_pkp
-from repro.core.pkp import project_result
+from repro.core.pkp import _rolling_spreads, project_result
 from repro.errors import SimulationError
 from repro.gpu import KernelLaunch, VOLTA_V100, compute_occupancy
 from repro.sim.engine import WindowSample
@@ -154,6 +154,26 @@ class TestRelativeStdMatchesNumpy:
     )
     def test_non_positive_or_non_finite_mean_is_none(self, values):
         assert _filled_monitor(values).relative_std() is None
+
+    @given(
+        values=st.lists(
+            st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e),
+            min_size=2,
+            max_size=300,
+        ),
+        width=st.sampled_from([2, 6, 7, 8, 9, 16, 129, 130]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_block_spreads_bitwise_equal_to_numpy(self, values, width):
+        """The column-wise spreads of a block of windows: every window's
+        value is numpy's ``std / mean`` of that window."""
+        if len(values) < width:
+            values = values * (width // len(values) + 1)
+        spreads = _rolling_spreads(values, width)
+        assert len(spreads) == len(values) - width + 1
+        for start, spread in enumerate(spreads):
+            expected = _numpy_relative_std(values[start : start + width])
+            assert spread.hex() == expected.hex()
 
     def test_window_restarts_after_nan(self):
         monitor = _filled_monitor([40.0, 41.0, 39.0, 40.5, 39.5, 40.0])

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.gpu import KernelLaunch, TURING_RTX2060, VOLTA_V100
 from repro.sim import ModelErrorConfig, Simulator
 from repro.sim.perfmodel import KERNEL_LAUNCH_OVERHEAD
@@ -83,6 +84,19 @@ class TestRunKernel:
         first = volta_simulator.run_kernel(compute_launch, monitor=never_stop)
         second = volta_simulator.run_kernel(compute_launch, monitor=never_stop)
         assert first is not second
+
+    def test_zero_window_is_not_the_default(self, volta_simulator, compute_launch):
+        """An explicit ``window_cycles=0.0`` is rejected, not silently
+        replaced by the simulator's 500-cycle default."""
+        with pytest.raises(SimulationError):
+            volta_simulator.run_kernel(
+                compute_launch, collect_series=True, window_cycles=0.0
+            )
+
+    @pytest.mark.parametrize("width", [0.0, -5.0, math.nan, math.inf])
+    def test_invalid_window_width_rejected_at_construction(self, width):
+        with pytest.raises(ConfigurationError):
+            Simulator(VOLTA_V100, window_cycles=width)
 
     def test_bias_applied(self, compute_launch):
         biased = Simulator(VOLTA_V100)
