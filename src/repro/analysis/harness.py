@@ -42,14 +42,9 @@ from repro.analysis.semcache import (
     SemanticCache,
     SemanticCacheConfig,
     TransferResult,
-    resolve_semcache_config,
 )
-from repro.predict import (
-    PredictConfig,
-    PredictTiers,
-    PredictedResult,
-    resolve_predict_config,
-)
+from repro.approx import ApproxTier
+from repro.predict import PredictConfig, PredictTiers, PredictedResult
 from repro.baselines.first_n import run_first_n_instructions
 from repro.baselines.tbpoint import TBPointSelection, select_tbpoint, simulate_tbpoint
 from repro.core.config import PKAConfig
@@ -76,6 +71,10 @@ from repro.workloads.spec import WorkloadSpec, get_workload, iter_workloads
 from repro.workloads.table import LaunchTable
 
 __all__ = ["CellFailure", "WorkloadEvaluation", "EvaluationHarness"]
+
+#: Sweep-manifest key (and ``harness.cells_<key>`` counter) of the cells
+#: each approximate tier answered.
+_APPROX_ANSWERS = (("transferred", TransferResult), ("predicted", PredictedResult))
 
 #: Methods evaluate_cells understands, and whether they take a GPU.
 _CELL_METHODS = (
@@ -205,17 +204,12 @@ class WorkloadEvaluation:
         memoized in memory only: they are trivial to re-derive and must
         not occupy the persistent store.
 
-        With the semantic cache enabled, a digest miss consults the
-        similarity index before computing.  A transfer answer is
-        memoized **in memory only** — never written through
-        ``put_run`` — so the exact digest cache can never be poisoned by
-        an approximate result; a computed result is additionally
-        *observed* into the index so it can donate to future transfers.
-
-        With the prediction tiers enabled, a semcache miss additionally
-        consults them before falling back to the DES — same in-memory-
-        only memoization contract as a transfer, and every *computed*
-        result additionally feeds the tiers' calibration.
+        A digest miss consults the enabled approximate tiers in order
+        (semantic cache, then prediction) before computing.  An
+        approximate answer is memoized **in memory only** — never
+        written through ``put_run`` — so the exact digest cache can
+        never be poisoned by it; a computed result is additionally
+        *observed* by every tier so it can price future answers.
         """
         if key in self._cache:
             obs_count("harness.memo_hits")
@@ -226,25 +220,20 @@ class WorkloadEvaluation:
             digest = self.harness._cell_digest(self, key, gpu, generations)
             result = self.harness.run_cache.get_run(digest)
             if result is None:
-                transfer = self.harness._semcache_consult(self, key, gpu, digest)
-                if transfer is not None:
-                    span.set(source="transfer")
-                    self._cache[key] = transfer
-                    return transfer
-                predicted = self.harness._predict_consult(self, key, gpu, digest)
-                if predicted is not None:
-                    span.set(source="predicted")
-                    self._cache[key] = predicted
-                    return predicted
+                for tier in self.harness.approx_tiers:
+                    answer = self.harness._approx_consult(
+                        tier, self, key.method, gpu, digest
+                    )
+                    if answer is not None:
+                        span.set(source=tier.source)
+                        self._cache[key] = answer
+                        return answer
                 span.set(source="computed")
                 result = compute()
                 if result is not None:
                     self.harness.run_cache.put_run(digest, result)
-                    self.harness._semcache_observe(
-                        self, key, gpu, digest, result
-                    )
-                    self.harness._predict_observe(
-                        self, key, gpu, digest, result
+                    self.harness._approx_observe(
+                        self, key.method, gpu, digest, result
                     )
             else:
                 span.set(source="disk_cache")
@@ -515,9 +504,7 @@ class EvaluationHarness:
         validation_mode: str = "strict",
         intra_jobs: ExecutionBackend | str | int | None = None,
         semcache: SemanticCacheConfig | bool | None = None,
-        transfer_threshold: float | None = None,
         predict: PredictConfig | bool | None = None,
-        predict_max_bound: float | None = None,
     ) -> None:
         # The default instruction budget is the paper's 1-billion-
         # instruction practice scaled by the same ~7x factor as the
@@ -551,35 +538,14 @@ class EvaluationHarness:
         self._simulators: dict[str, Simulator] = {}
         self._evaluations: dict[str, WorkloadEvaluation] = {}
         self._context_fingerprint: str | None = None
-        #: Similarity-transfer layer above the digest cache (None = off).
-        #: ``semcache`` accepts a full config, or True for defaults;
-        #: ``transfer_threshold`` overrides the coverage radius either way.
-        self._semcache_config = resolve_semcache_config(
-            semcache, transfer_threshold
+        #: The approximate tiers (None = off), each given a full config
+        #: or True for defaults: similarity transfer above the digest
+        #: cache, then the prediction tiers below it.
+        self.semcache: SemanticCache | None = SemanticCache.create(
+            semcache, self.run_cache, self.context_fingerprint()
         )
-        self.semcache: SemanticCache | None = (
-            SemanticCache(
-                self._semcache_config,
-                self.run_cache,
-                context=self.context_fingerprint(),
-            )
-            if self._semcache_config is not None
-            else None
-        )
-        #: Two-tier prediction layer below the semcache (None = off).
-        #: ``predict`` accepts a full config, or True for defaults;
-        #: ``predict_max_bound`` overrides the serving threshold.
-        self._predict_config = resolve_predict_config(
-            predict, predict_max_bound
-        )
-        self.predict: PredictTiers | None = (
-            PredictTiers(
-                self._predict_config,
-                self.run_cache,
-                context=self.context_fingerprint(),
-            )
-            if self._predict_config is not None
-            else None
+        self.predict: PredictTiers | None = PredictTiers.create(
+            predict, self.run_cache, self.context_fingerprint()
         )
 
     def silicon(self, gpu: GPUConfig) -> SiliconExecutor:
@@ -740,135 +706,94 @@ class EvaluationHarness:
             return False
         return True
 
-    def _semcache_consult(
+    @property
+    def approx_tiers(self) -> tuple[ApproxTier, ...]:
+        """The enabled approximate tiers, in consult order."""
+        tiers = (self.semcache, self.predict)
+        return tuple(tier for tier in tiers if tier is not None)
+
+    def _approx_consult(
         self,
+        tier: ApproxTier,
         evaluation: WorkloadEvaluation,
-        key: RunKey,
+        method: str,
         gpu: GPUConfig | None,
         digest: str,
-    ) -> TransferResult | None:
-        if self.semcache is None or gpu is None:
+    ) -> AppRunResult | None:
+        """One tier's answer for a digest-missed cell, or None."""
+        if gpu is None or method not in tier.config.methods:
             return None
-        if not self._transfer_viable(evaluation, key.method, gpu):
+        if not self._transfer_viable(evaluation, method, gpu):
             return None
-        return self.semcache.consult(
+        return tier.consult(
             workload=evaluation.spec.name,
-            method=key.method,
+            method=method,
             gpu=gpu,
             launches=evaluation.launches(gpu.generation),
             digest=digest,
+            model_error=self.model_error,
         )
 
-    def _semcache_observe(
+    def _approx_observe(
         self,
         evaluation: WorkloadEvaluation,
-        key: RunKey,
+        method: str,
         gpu: GPUConfig | None,
         digest: str,
         result: object,
     ) -> None:
-        if self.semcache is None or gpu is None:
-            return
-        if not isinstance(result, AppRunResult):
-            return
-        self.semcache.observe(
-            workload=evaluation.spec.name,
-            method=key.method,
-            gpu=gpu,
-            launches=evaluation.launches(gpu.generation),
-            digest=digest,
-            result=result,
-        )
+        """Feed one computed result to every tier that serves its method.
 
-    def _predict_consult(
-        self,
-        evaluation: WorkloadEvaluation,
-        key: RunKey,
-        gpu: GPUConfig | None,
-        digest: str,
-    ) -> PredictedResult | None:
-        if self.predict is None or gpu is None:
-            return None
-        if key.method not in self.predict.config.methods:
-            return None
-        if not self._transfer_viable(evaluation, key.method, gpu):
-            return None
-        return self.predict.consult(
-            workload=evaluation.spec.name,
-            method=key.method,
-            gpu=gpu,
-            launches=evaluation.launches(gpu.generation),
-            model_error=self.model_error,
-            digest=digest,
-        )
-
-    def _predict_observe(
-        self,
-        evaluation: WorkloadEvaluation,
-        key: RunKey,
-        gpu: GPUConfig | None,
-        digest: str,
-        result: object,
-    ) -> None:
-        if self.predict is None or gpu is None:
-            return
-        if key.method not in self.predict.config.methods:
-            return
-        if not isinstance(result, AppRunResult):
-            return
-        # Per-group DES ground truth, harvested from the simulator's
-        # full-run memo the compute just populated.  Groups belonging to
-        # other workloads are filtered out by key inside observe().
-        kernel_cycles = self.simulator(gpu).memoized_kernel_cycles()
-        self.predict.observe(
-            workload=evaluation.spec.name,
-            method=key.method,
-            gpu=gpu,
-            launches=evaluation.launches(gpu.generation),
-            model_error=self.model_error,
-            digest=digest,
-            result=result,
-            kernel_cycles=kernel_cycles,
-        )
-
-    def predict_probe(
-        self, workload: str, method: str, gpu: GPUConfig | str | None = None
-    ) -> PredictedResult | None:
-        """Submission-time prediction answer for one cell, or None.
-
-        The serving scheduler calls this after both the digest-cache and
-        transfer probes miss: a :class:`PredictedResult` completes the
-        job without queueing, None escalates to the compute pipeline.
-        No event loop runs either way — at most the workload's launch
-        list is built and priced analytically.
+        Per-group DES ground truth is harvested lazily from the
+        simulator's full-run memo the compute just populated; groups of
+        other workloads are filtered out by key inside the tier.
         """
-        if self.predict is None:
-            return None
-        if method not in self.predict.config.methods:
+        if gpu is None or not isinstance(result, AppRunResult):
+            return
+        for tier in self.approx_tiers:
+            if method not in tier.config.methods:
+                continue
+            tier.observe(
+                workload=evaluation.spec.name,
+                method=method,
+                gpu=gpu,
+                launches=evaluation.launches(gpu.generation),
+                digest=digest,
+                result=result,
+                model_error=self.model_error,
+                kernel_cycles=lambda: self.simulator(gpu).memoized_kernel_cycles(),
+            )
+
+    def _approx_probe(
+        self,
+        tier: ApproxTier | None,
+        workload: str,
+        method: str,
+        gpu: GPUConfig | str | None,
+    ) -> AppRunResult | None:
+        """Submission-time answer of one tier for one cell, or None.
+
+        The serving scheduler calls this after its digest-cache probe
+        misses: an answer completes the job without queueing, None
+        escalates to the next tier and then to the compute pipeline.
+        Nothing is simulated either way — at most the workload's launch
+        list is built once, memoized, and priced.
+        """
+        if tier is None or method not in tier.config.methods:
             return None
         evaluation = self.evaluation(workload)
         if isinstance(gpu, str):
             gpu = get_gpu(gpu)
         key = evaluation.cell_key(method, gpu)
         memoized = evaluation._cache.get(key)
-        if isinstance(memoized, PredictedResult):
-            return memoized
         if memoized is not None:
-            return None  # a real result exists; other probes serve it
+            # This tier's earlier answer, or a real result other probes serve.
+            return memoized if isinstance(memoized, tier.result_type) else None
         gpu_cfg, generations = self._cell_geometry(method, gpu)
-        if gpu_cfg is None or not self._transfer_viable(
-            evaluation, method, gpu_cfg
-        ):
+        if gpu_cfg is None:
             return None
         digest = self._cell_digest(evaluation, key, gpu_cfg, generations)
-        result = self.predict.consult(
-            workload=evaluation.spec.name,
-            method=method,
-            gpu=gpu_cfg,
-            launches=evaluation.launches(gpu_cfg.generation),
-            model_error=self.model_error,
-            digest=digest,
-        )
+        result = self._approx_consult(tier, evaluation, method, gpu_cfg, digest)
         if result is not None:
             evaluation._cache[key] = result
         return result
@@ -876,43 +801,14 @@ class EvaluationHarness:
     def transfer_probe(
         self, workload: str, method: str, gpu: GPUConfig | str | None = None
     ) -> TransferResult | None:
-        """Submission-time transfer answer for one cell, or None.
+        """The semantic cache's submission-time answer (see :meth:`_approx_probe`)."""
+        return self._approx_probe(self.semcache, workload, method, gpu)
 
-        The serving scheduler calls this right after its digest-cache
-        probe misses: a :class:`TransferResult` completes the job
-        without queueing (the warm path), None escalates to the normal
-        compute pipeline.  Nothing is simulated either way — at most the
-        workload's launch list is built once and memoized.
-        """
-        if self.semcache is None:
-            return None
-        if method not in self.semcache.config.methods:
-            return None
-        evaluation = self.evaluation(workload)
-        if isinstance(gpu, str):
-            gpu = get_gpu(gpu)
-        key = evaluation.cell_key(method, gpu)
-        memoized = evaluation._cache.get(key)
-        if isinstance(memoized, TransferResult):
-            return memoized
-        if memoized is not None:
-            return None  # a real result exists; other probes serve it
-        gpu_cfg, generations = self._cell_geometry(method, gpu)
-        if gpu_cfg is None or not self._transfer_viable(
-            evaluation, method, gpu_cfg
-        ):
-            return None
-        digest = self._cell_digest(evaluation, key, gpu_cfg, generations)
-        result = self.semcache.consult(
-            workload=evaluation.spec.name,
-            method=method,
-            gpu=gpu_cfg,
-            launches=evaluation.launches(gpu_cfg.generation),
-            digest=digest,
-        )
-        if result is not None:
-            evaluation._cache[key] = result
-        return result
+    def predict_probe(
+        self, workload: str, method: str, gpu: GPUConfig | str | None = None
+    ) -> PredictedResult | None:
+        """The prediction tiers' submission-time answer (see :meth:`_approx_probe`)."""
+        return self._approx_probe(self.predict, workload, method, gpu)
 
     # -- parallel cell dispatch ------------------------------------------
 
@@ -1014,8 +910,10 @@ class EvaluationHarness:
                         cache_root,
                         self.validation_mode,
                         intra_spec,
-                        self._semcache_config,
-                        self._predict_config,
+                        *(
+                            tier.config if tier is not None else None
+                            for tier in (self.semcache, self.predict)
+                        ),
                         cell,
                     )
                     for cell in normalized
@@ -1078,16 +976,10 @@ class EvaluationHarness:
         skipped = sum(1 for result in results if result is None)
         if skipped:
             obs_count("harness.cells_skipped", skipped)
-        transferred = sum(
-            1 for result in results if isinstance(result, TransferResult)
-        )
-        if transferred:
-            obs_count("harness.cells_transferred", transferred)
-        predicted = sum(
-            1 for result in results if isinstance(result, PredictedResult)
-        )
-        if predicted:
-            obs_count("harness.cells_predicted", predicted)
+        for label, answer_type in _APPROX_ANSWERS:
+            answered = sum(1 for result in results if isinstance(result, answer_type))
+            if answered:
+                obs_count(f"harness.cells_{label}", answered)
         obs_count(
             "harness.cells_completed",
             len(results) - len(failures) - skipped,
@@ -1110,16 +1002,6 @@ class EvaluationHarness:
             {"cells": labels, "context": self.context_fingerprint()}
         )
         failed_labels = {failure.label for failure in failures}
-        transferred_labels = [
-            label
-            for label, result in zip(labels, results, strict=True)
-            if isinstance(result, TransferResult)
-        ]
-        predicted_labels = [
-            label
-            for label, result in zip(labels, results, strict=True)
-            if isinstance(result, PredictedResult)
-        ]
         manifest = {
             "sweep_id": sweep_id,
             "total_cells": len(labels),
@@ -1127,22 +1009,24 @@ class EvaluationHarness:
             "completed": [label for label in labels if label not in failed_labels],
             "quarantined": sorted(failed_labels),
             "failures": [failure.to_record() for failure in failures],
-            # Cells answered by the semantic cache's similarity transfer
-            # (no DES ran; the result carries a modeled error bound).
-            "transferred": transferred_labels,
-            # Cells answered by the prediction tiers (no DES ran; the
-            # result carries a modeled error bound and the tier name).
-            "predicted": predicted_labels,
+            # Cells answered by an approximate tier (no DES ran; the
+            # result carries a modeled error bound).
+            **{
+                key: [
+                    label
+                    for label, result in zip(labels, results, strict=True)
+                    if isinstance(result, answer_type)
+                ]
+                for key, answer_type in _APPROX_ANSWERS
+            },
             # Cache-side integrity events observed by *this process* so
             # far: entries moved to <cache>/quarantine/ plus refused
             # schema stamps (workers record their own in their caches).
             "cache_quarantined": list(self.run_cache.quarantine_log),
             "cache_schema_mismatches": self.run_cache.schema_mismatches,
         }
-        if self.semcache is not None:
-            manifest["semcache"] = self.semcache.snapshot()
-        if self.predict is not None:
-            manifest["predict"] = self.predict.snapshot()
+        for tier in self.approx_tiers:
+            manifest[tier.kind] = tier.snapshot()
         tracer = get_tracer()
         if tracer.enabled:
             # Snapshot the counters so the run summary written next to a

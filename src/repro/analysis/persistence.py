@@ -394,22 +394,13 @@ class NullRunCache:
     def put_manifest(self, sweep_id: str, document: dict) -> None:
         return None
 
-    def get_semcache_state(self, context: str) -> dict | None:
+    def get_state(self, kind: str, context: str) -> dict | None:
         return None
 
-    def put_semcache_state(self, context: str, document: dict) -> None:
+    def put_state(self, kind: str, context: str, document: dict) -> None:
         return None
 
-    def semcache_state_mtime(self, context: str) -> float | None:
-        return None
-
-    def get_predict_state(self, context: str) -> dict | None:
-        return None
-
-    def put_predict_state(self, context: str, document: dict) -> None:
-        return None
-
-    def predict_state_mtime(self, context: str) -> float | None:
+    def state_mtime(self, kind: str, context: str) -> float | None:
         return None
 
     def __repr__(self) -> str:
@@ -608,6 +599,37 @@ class RunCache:
         self._note_hit()
         return payload
 
+    def _store(
+        self, key: str, path: Path, document: dict, *, indent: int | None = None
+    ) -> bool:
+        """Write ``document`` to ``path`` atomically (temp file + rename).
+
+        The one writer of entries, manifests and tier state.  A store
+        that cannot write degrades to the in-memory overlay under
+        ``key``.  True when the document reached disk.
+        """
+        if not self.degraded:
+            text = json.dumps(document, sort_keys=True, indent=indent)
+            tmp_name = None
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                handle, tmp_name = tempfile.mkstemp(
+                    prefix=f".{path.stem[:8]}.", suffix=".tmp", dir=path.parent
+                )
+                with os.fdopen(handle, "w", encoding="utf-8") as stream:
+                    stream.write(text)
+                os.replace(tmp_name, path)
+                return True
+            except OSError as exc:
+                if tmp_name is not None:
+                    try:
+                        os.unlink(tmp_name)
+                    except OSError:
+                        pass
+                self._degrade(exc)
+        self._memory[key] = document
+        return False
+
     def _write(self, digest: str, kind: str, payload) -> None:
         document = {
             "kind": kind,
@@ -615,36 +637,10 @@ class RunCache:
             "payload": payload,
             "sha256": self._payload_checksum(payload),
         }
-        if self.degraded:
-            self._memory[digest] = document
-            self._note_write()
-            return
-        path = self._path(digest)
-        text = json.dumps(document, sort_keys=True)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            handle, tmp_name = tempfile.mkstemp(
-                prefix=f".{digest[:8]}.", suffix=".tmp", dir=path.parent
-            )
-        except OSError as exc:
-            self._degrade(exc)
-            self._memory[digest] = document
-            self._note_write()
-            return
-        try:
-            with os.fdopen(handle, "w", encoding="utf-8") as stream:
-                stream.write(text)
-            os.replace(tmp_name, path)
-        except OSError as exc:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            self._degrade(exc)
-            self._memory[digest] = document
-        else:
-            if self.max_bytes is not None:
-                self._maybe_evict(protect=digest)
+        if self._store(digest, self._path(digest), document) and (
+            self.max_bytes is not None
+        ):
+            self._maybe_evict(protect=digest)
         self._note_write()
 
     # -- size accounting and LRU eviction ---------------------------------
@@ -764,191 +760,74 @@ class RunCache:
 
     def put_manifest(self, sweep_id: str, document: dict) -> None:
         """Record a sweep's completion/quarantine state, atomically."""
-        if self.degraded:
-            self._memory[f"manifest:{sweep_id}"] = {
-                "kind": "sweep_manifest",
-                "payload": document,
-            }
-            return
-        path = self._manifest_path(sweep_id)
-        text = json.dumps(
-            {"kind": "sweep_manifest", "payload": document}, sort_keys=True, indent=2
+        self._store(
+            f"manifest:{sweep_id}",
+            self._manifest_path(sweep_id),
+            {"kind": "sweep_manifest", "payload": document},
+            indent=2,
         )
-        tmp_name = None
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            handle, tmp_name = tempfile.mkstemp(
-                prefix=f".{sweep_id[:8]}.", suffix=".tmp", dir=path.parent
-            )
-            with os.fdopen(handle, "w", encoding="utf-8") as stream:
-                stream.write(text)
-            os.replace(tmp_name, path)
-        except OSError as exc:
-            if tmp_name is not None:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-            self._degrade(exc)
-            self._memory[f"manifest:{sweep_id}"] = {
-                "kind": "sweep_manifest",
-                "payload": document,
-            }
 
-    # -- semantic-cache index state ----------------------------------------
+    # -- approximate-tier state -------------------------------------------
 
-    def _semcache_path(self, context: str) -> Path:
-        return self.root / "semcache" / f"{context[:32]}.json"
+    def _state_path(self, kind: str, context: str) -> Path:
+        return self.root / kind / f"{context[:32]}.json"
 
-    def get_semcache_state(self, context: str) -> dict | None:
-        """The similarity index for one harness context, or None.
+    def get_state(self, kind: str, context: str) -> dict | None:
+        """One approximate tier's state for one harness context, or None.
 
-        Carries the same integrity envelope as run entries (schema stamp
-        + payload checksum); a corrupt or foreign-schema state is simply
-        discarded — the index is derived data and rebuilds itself.
+        ``kind`` names the tier (``semcache``, ``predict``); its state
+        lives at ``<root>/<kind>/<context[:32]>.json`` in an envelope of
+        kind ``<kind>_state`` with the same schema stamp and payload
+        checksum as run entries.  A corrupt, foreign-schema or
+        other-kind state is simply discarded — tier state is derived
+        data and rebuilds itself.
         """
-        overlay = self._memory.get(f"semcache:{context}")
+        overlay = self._memory.get(f"{kind}:{context}")
         if overlay is not None:
             return overlay["payload"]
         try:
             document = json.loads(
-                self._semcache_path(context).read_text(encoding="utf-8")
+                self._state_path(kind, context).read_text(encoding="utf-8")
             )
         except (OSError, ValueError):
             return None
-        if (
-            document.get("kind") != "semcache_state"
-            or document.get("schema") != CACHE_SCHEMA_VERSION
-        ):
+        if not isinstance(document, dict):
             return None
         payload = document.get("payload")
-        if payload is None or document.get("sha256") != self._payload_checksum(
-            payload
+        if (
+            document.get("kind") != f"{kind}_state"
+            or document.get("schema") != CACHE_SCHEMA_VERSION
+            or payload is None
+            or document.get("sha256") != self._payload_checksum(payload)
         ):
             return None
         return payload
 
-    def put_semcache_state(self, context: str, document: dict) -> None:
-        """Persist one context's similarity index, atomically.
+    def put_state(self, kind: str, context: str, document: dict) -> None:
+        """Persist one tier's state for one context, atomically.
 
-        Lives under ``<root>/semcache/`` — outside the two-hex entry
+        Lives under ``<root>/<kind>/`` — outside the two-hex entry
         directories, so like manifests it is never counted against
         ``max_bytes`` nor LRU-evicted.
         """
-        envelope = {
-            "kind": "semcache_state",
-            "schema": CACHE_SCHEMA_VERSION,
-            "payload": document,
-            "sha256": self._payload_checksum(document),
-        }
-        if self.degraded:
-            self._memory[f"semcache:{context}"] = envelope
-            return
-        path = self._semcache_path(context)
-        text = json.dumps(envelope, sort_keys=True)
-        tmp_name = None
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            handle, tmp_name = tempfile.mkstemp(
-                prefix=f".{context[:8]}.", suffix=".tmp", dir=path.parent
-            )
-            with os.fdopen(handle, "w", encoding="utf-8") as stream:
-                stream.write(text)
-            os.replace(tmp_name, path)
-        except OSError as exc:
-            if tmp_name is not None:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-            self._degrade(exc)
-            self._memory[f"semcache:{context}"] = envelope
+        self._store(
+            f"{kind}:{context}",
+            self._state_path(kind, context),
+            {
+                "kind": f"{kind}_state",
+                "schema": CACHE_SCHEMA_VERSION,
+                "payload": document,
+                "sha256": self._payload_checksum(document),
+            },
+        )
 
-    def semcache_state_mtime(self, context: str) -> float | None:
+    def state_mtime(self, kind: str, context: str) -> float | None:
         """Staleness probe: the state file's mtime (None when absent or
         when the store is degraded to memory)."""
         if self.degraded:
             return None
         try:
-            return self._semcache_path(context).stat().st_mtime
-        except OSError:
-            return None
-
-    # -- prediction-tier calibration state ---------------------------------
-
-    def _predict_path(self, context: str) -> Path:
-        return self.root / "predict" / f"{context[:32]}.json"
-
-    def get_predict_state(self, context: str) -> dict | None:
-        """The prediction-tier calibration for one harness context.
-
-        Same integrity envelope as run entries; corrupt or foreign-schema
-        states are discarded — calibration is derived data that re-warms
-        from computed runs.
-        """
-        overlay = self._memory.get(f"predict:{context}")
-        if overlay is not None:
-            return overlay["payload"]
-        try:
-            document = json.loads(
-                self._predict_path(context).read_text(encoding="utf-8")
-            )
-        except (OSError, ValueError):
-            return None
-        if (
-            document.get("kind") != "predict_state"
-            or document.get("schema") != CACHE_SCHEMA_VERSION
-        ):
-            return None
-        payload = document.get("payload")
-        if payload is None or document.get("sha256") != self._payload_checksum(
-            payload
-        ):
-            return None
-        return payload
-
-    def put_predict_state(self, context: str, document: dict) -> None:
-        """Persist one context's prediction calibration, atomically.
-
-        Lives under ``<root>/predict/`` — like manifests and semcache
-        state, never counted against ``max_bytes`` nor LRU-evicted.
-        """
-        envelope = {
-            "kind": "predict_state",
-            "schema": CACHE_SCHEMA_VERSION,
-            "payload": document,
-            "sha256": self._payload_checksum(document),
-        }
-        if self.degraded:
-            self._memory[f"predict:{context}"] = envelope
-            return
-        path = self._predict_path(context)
-        text = json.dumps(envelope, sort_keys=True)
-        tmp_name = None
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            handle, tmp_name = tempfile.mkstemp(
-                prefix=f".{context[:8]}.", suffix=".tmp", dir=path.parent
-            )
-            with os.fdopen(handle, "w", encoding="utf-8") as stream:
-                stream.write(text)
-            os.replace(tmp_name, path)
-        except OSError as exc:
-            if tmp_name is not None:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-            self._degrade(exc)
-            self._memory[f"predict:{context}"] = envelope
-
-    def predict_state_mtime(self, context: str) -> float | None:
-        """Staleness probe: the state file's mtime (None when absent or
-        when the store is degraded to memory)."""
-        if self.degraded:
-            return None
-        try:
-            return self._predict_path(context).stat().st_mtime
+            return self._state_path(kind, context).stat().st_mtime
         except OSError:
             return None
 

@@ -42,17 +42,15 @@ same method, GPU config and harness context fingerprint.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.approx import ApproxTier
 from repro.core.features import FeaturePipeline
 from repro.errors import ReproError
-from repro.gpu.architectures import GPUConfig
 from repro.gpu.kernels import KernelLaunch
 from repro.mlkit import KMeans, MiniBatchKMeans
-from repro.obs import obs_count
 from repro.profiling.detailed import FEATURE_NAMES, collect_counters
 from repro.sim.perfmodel import KERNEL_LAUNCH_OVERHEAD
 from repro.sim.stats import AppRunResult
@@ -63,7 +61,6 @@ __all__ = [
     "SemanticCache",
     "SemanticCacheConfig",
     "TransferResult",
-    "resolve_semcache_config",
 ]
 
 #: Bump when the state document layout changes; mismatched states are
@@ -235,254 +232,114 @@ def _distance(query: _GroupRow, donor: _GroupRow) -> float:
     return float(np.abs(query.log_counters - donor.log_counters).mean())
 
 
-class SemanticCache:
-    """The similarity index plus its transfer/escalation bookkeeping.
+class SemanticCache(ApproxTier):
+    """The similarity index: transfer answers above the digest cache.
 
-    One instance serves one harness (one context fingerprint).  State
-    persists through the harness's run cache under
-    ``<cache>/semcache/<context>.json`` — LRU-exempt like manifests —
-    and is merged back on load, so worker processes sharing a cache
-    directory pool their observations.  All public methods are
-    thread-safe (the serving scheduler consults from request threads).
+    The ledger, observed-error feedback and persistence under
+    ``<cache>/semcache/<context>.json`` come from :class:`ApproxTier`;
+    this class prices a query from its nearest donors and indexes
+    computed runs as donors.
     """
 
-    def __init__(self, config: SemanticCacheConfig, run_cache, context: str) -> None:
-        self.config = config
-        self.run_cache = run_cache
-        self.context = context
-        self._partitions: dict[str, dict[str, _AppEntry]] = {}
-        self._predictions: dict[str, tuple[float, float]] = {}
-        self._lock = threading.RLock()
-        self._loaded = False
-        self._state_mtime: float | None = None
-        # Tallies (also mirrored into obs counters under "semcache.").
-        self.lookups = 0
-        self.transfers = 0
-        self.escalations_coverage = 0
-        self.escalations_bound = 0
-        self.observations = 0
-        self.observed_errors: list[float] = []
-        self.observed_violations = 0
+    kind = "semcache"
+    source = "transfer"
+    answers_key = "transfers"
+    error_key = "transfer_error"
+    result_type = TransferResult
+    config_type = SemanticCacheConfig
+    state_version = SEMCACHE_STATE_VERSION
+    escalation_reasons = ("coverage", "bound")
 
-    # -- tallies ---------------------------------------------------------
-
-    @property
-    def escalations(self) -> int:
-        return self.escalations_coverage + self.escalations_bound
-
-    def snapshot(self) -> dict:
-        """JSON-ready metrics section (the ``/metricsz`` ``semcache`` block).
-
-        ``reconciles`` asserts the lookup ledger: every consult either
-        transferred or escalated — ``transfers + escalations ==
-        lookups`` exactly.
-        """
-        with self._lock:
-            rows = sum(
+    def _describe(self) -> dict:
+        return {
+            "transfer_threshold": self.config.transfer_threshold,
+            "max_error_bound": self.config.max_error_bound,
+            "index_apps": sum(len(p) for p in self._partitions.values()),
+            "index_rows": sum(
                 len(entry.rows)
                 for partition in self._partitions.values()
                 for entry in partition.values()
-            )
-            apps = sum(len(p) for p in self._partitions.values())
-            errors = list(self.observed_errors)
-            return {
-                "enabled": True,
-                "transfer_threshold": self.config.transfer_threshold,
-                "max_error_bound": self.config.max_error_bound,
-                "index_apps": apps,
-                "index_rows": rows,
-                "partitions": len(self._partitions),
-                "lookups": self.lookups,
-                "transfers": self.transfers,
-                "escalations": self.escalations,
-                "escalations_coverage": self.escalations_coverage,
-                "escalations_bound": self.escalations_bound,
-                "observations": self.observations,
-                "reconciles": self.transfers + self.escalations == self.lookups,
-                "transfer_error": {
-                    "samples": len(errors),
-                    "observed_mean": (
-                        float(np.mean(errors)) if errors else None
-                    ),
-                    "observed_max": float(max(errors)) if errors else None,
-                    "violations": self.observed_violations,
-                },
-            }
+            ),
+            "partitions": len(self._partitions),
+        }
 
     # -- the transfer decision -------------------------------------------
 
-    def consult(
-        self,
-        *,
-        workload: str,
-        method: str,
-        gpu: GPUConfig,
-        launches: list[KernelLaunch],
-        digest: str,
-    ) -> TransferResult | None:
-        """Try to answer a digest miss by transfer; None escalates.
-
-        Counts exactly one lookup, and exactly one of transfer /
-        escalation — the ledger ``snapshot()`` reconciles.
-        """
-        if method not in self.config.methods:
-            return None
-        with self._lock:
-            self._load_if_stale()
-            self.lookups += 1
-            obs_count("semcache.lookups")
-            partition = self._partitions.get(self._partition_key(method, gpu))
-            if not partition:
-                return self._escalate("coverage")
-            query = _group_launches(
-                launches, gpu.generation, self.config.max_groups
-            )
-            total_mass = sum(row.warp_instructions for row in query)
-            if not query or total_mass <= 0:
-                return self._escalate("coverage")
-            donors: list[tuple[_GroupRow, _AppEntry, float]] = []
-            for row in query:
-                best: tuple[float, _AppEntry] | None = None
-                for entry in partition.values():
-                    for donor_row in entry.rows:
-                        dist = _distance(row, donor_row)
-                        if best is None or dist < best[0]:
-                            best = (dist, entry)
-                if best is None or best[0] > self.config.transfer_threshold:
-                    return self._escalate("coverage")
-                donors.append((row, best[1], best[0]))
-            bound = self.config.error_floor + self.config.safety_factor * sum(
-                (row.warp_instructions / total_mass)
-                * self.config.lipschitz
-                * dist
-                for row, _entry, dist in donors
-            )
-            if bound > self.config.max_error_bound:
-                return self._escalate("bound")
-            total_launches = sum(row.launches for row, _e, _d in donors)
-            cycles = KERNEL_LAUNCH_OVERHEAD * total_launches + sum(
-                entry.cycles_rate * row.warp_instructions
-                for row, entry, _dist in donors
-            )
-            dram = sum(
-                entry.dram_rate * row.warp_instructions
-                for row, entry, _dist in donors
-            )
-            result = TransferResult(
-                workload=workload,
-                gpu=gpu,
-                method=method,
-                total_cycles=float(cycles),
-                total_instructions=float(total_mass),
-                total_dram_bytes=float(dram),
-                simulated_cycles=0.0,
-                transfer_error_bound=float(bound),
-                transferred_from=tuple(
-                    sorted({entry.workload for _r, entry, _d in donors})
-                ),
-            )
-            self._predictions[digest] = (float(cycles), float(bound))
-            self.transfers += 1
-            obs_count("semcache.transfers")
-            return result
-
-    def _escalate(self, kind: str) -> None:
-        if kind == "coverage":
-            self.escalations_coverage += 1
-        else:
-            self.escalations_bound += 1
-        obs_count("semcache.escalations")
-        obs_count(f"semcache.escalations_{kind}")
-        return None
+    def _price(self, *, workload, method, gpu, launches, model_error):
+        partition = self._partitions.get(self._partition_key(method, gpu))
+        if not partition:
+            return "coverage"
+        query = _group_launches(launches, gpu.generation, self.config.max_groups)
+        total_mass = sum(row.warp_instructions for row in query)
+        if not query or total_mass <= 0:
+            return "coverage"
+        donors: list[tuple[_GroupRow, _AppEntry, float]] = []
+        for row in query:
+            best: tuple[float, _AppEntry] | None = None
+            for entry in partition.values():
+                for donor_row in entry.rows:
+                    dist = _distance(row, donor_row)
+                    if best is None or dist < best[0]:
+                        best = (dist, entry)
+            if best is None or best[0] > self.config.transfer_threshold:
+                return "coverage"
+            donors.append((row, best[1], best[0]))
+        bound = self.config.error_floor + self.config.safety_factor * sum(
+            (row.warp_instructions / total_mass) * self.config.lipschitz * dist
+            for row, _entry, dist in donors
+        )
+        if bound > self.config.max_error_bound:
+            return "bound"
+        total_launches = sum(row.launches for row, _e, _d in donors)
+        cycles = KERNEL_LAUNCH_OVERHEAD * total_launches + sum(
+            entry.cycles_rate * row.warp_instructions for row, entry, _dist in donors
+        )
+        dram = sum(
+            entry.dram_rate * row.warp_instructions for row, entry, _dist in donors
+        )
+        result = TransferResult(
+            workload=workload,
+            gpu=gpu,
+            method=method,
+            total_cycles=float(cycles),
+            total_instructions=float(total_mass),
+            total_dram_bytes=float(dram),
+            simulated_cycles=0.0,
+            transfer_error_bound=float(bound),
+            transferred_from=tuple(
+                sorted({entry.workload for _r, entry, _d in donors})
+            ),
+        )
+        return result, float(bound), None
 
     # -- index growth -----------------------------------------------------
 
-    def observe(
-        self,
-        *,
-        workload: str,
-        method: str,
-        gpu: GPUConfig,
-        launches: list[KernelLaunch],
-        digest: str,
-        result: AppRunResult,
+    def _ingest(
+        self, *, workload, method, gpu, launches, digest, result, model_error,
+        kernel_cycles,
     ) -> None:
-        """Ingest one *computed* run as a donor and persist the index.
-
-        Transfer answers are never ingested (their error would compound
-        through the index); runs with no instruction mass cannot price a
-        rate and are skipped.
-        """
-        if method not in self.config.methods:
-            return
-        if isinstance(result, TransferResult):
-            return
-        if result.total_instructions <= 0:
-            return
-        with self._lock:
-            self._load_if_stale()
-            self._track_observed_error(digest, result)
-            key = self._partition_key(method, gpu)
-            partition = self._partitions.setdefault(key, {})
-            rows = _group_launches(
-                launches, gpu.generation, self.config.max_groups
-            )
-            total_launches = sum(row.launches for row in rows)
-            overhead = KERNEL_LAUNCH_OVERHEAD * total_launches
-            partition[digest] = _AppEntry(
-                workload=workload,
-                digest=digest,
-                cycles_rate=max(0.0, result.total_cycles - overhead)
-                / result.total_instructions,
-                dram_rate=result.total_dram_bytes / result.total_instructions,
-                total_warp_instructions=float(result.total_instructions),
-                total_launches=total_launches,
-                rows=rows,
-            )
-            while len(partition) > self.config.max_apps_per_partition:
-                partition.pop(next(iter(partition)))
-            self.observations += 1
-            obs_count("semcache.observations")
-            self._persist()
-
-    def _track_observed_error(self, digest: str, result: AppRunResult) -> None:
-        """A computed ground truth arrived for a digest we once answered
-        by transfer (an operator disabled transfer, or another process
-        escalated): record the realized error against the advertised
-        bound."""
-        prediction = self._predictions.pop(digest, None)
-        if prediction is None or result.total_cycles <= 0:
-            return
-        predicted, bound = prediction
-        error = abs(predicted - result.total_cycles) / result.total_cycles
-        self.observed_errors.append(error)
-        obs_count("semcache.observed_samples")
-        if error > bound:
-            self.observed_violations += 1
-            obs_count("semcache.observed_violations")
+        """Index one computed run as a donor (FIFO-capped per partition)."""
+        partition = self._partitions.setdefault(self._partition_key(method, gpu), {})
+        rows = _group_launches(launches, gpu.generation, self.config.max_groups)
+        total_launches = sum(row.launches for row in rows)
+        overhead = KERNEL_LAUNCH_OVERHEAD * total_launches
+        partition[digest] = _AppEntry(
+            workload=workload,
+            digest=digest,
+            cycles_rate=max(0.0, result.total_cycles - overhead)
+            / result.total_instructions,
+            dram_rate=result.total_dram_bytes / result.total_instructions,
+            total_warp_instructions=float(result.total_instructions),
+            total_launches=total_launches,
+            rows=rows,
+        )
+        while len(partition) > self.config.max_apps_per_partition:
+            partition.pop(next(iter(partition)))
 
     # -- persistence -------------------------------------------------------
 
-    @staticmethod
-    def _partition_key(method: str, gpu: GPUConfig) -> str:
-        return f"{method}@{gpu.name}"
-
-    def _load_if_stale(self) -> None:
-        """Merge on-disk state written by other processes (mtime-gated)."""
-        getter = getattr(self.run_cache, "get_semcache_state", None)
-        if getter is None:
-            self._loaded = True
-            return
-        mtime = getattr(self.run_cache, "semcache_state_mtime", None)
-        current = mtime(self.context) if mtime is not None else None
-        if self._loaded and current == self._state_mtime:
-            return
-        document = getter(self.context)
-        self._loaded = True
-        self._state_mtime = current
-        if not document or document.get("version") != SEMCACHE_STATE_VERSION:
-            return
-        for key, apps in document.get("partitions", {}).items():
+    def _merge_partitions(self, partitions: dict) -> None:
+        for key, apps in partitions.items():
             partition = self._partitions.setdefault(key, {})
             for digest, entry in apps.items():
                 if digest in partition:
@@ -510,52 +367,25 @@ class SemanticCache:
                 except (KeyError, TypeError, ValueError):
                     continue  # one malformed donor must not poison the index
 
-    def _persist(self) -> None:
-        putter = getattr(self.run_cache, "put_semcache_state", None)
-        if putter is None:
-            return
-        document = {
-            "version": SEMCACHE_STATE_VERSION,
-            "context": self.context,
-            "partitions": {
-                key: {
-                    digest: {
-                        "workload": entry.workload,
-                        "cycles_rate": entry.cycles_rate,
-                        "dram_rate": entry.dram_rate,
-                        "total_warp_instructions": entry.total_warp_instructions,
-                        "total_launches": entry.total_launches,
-                        "rows": [
-                            {
-                                "counters": list(row.counters),
-                                "warp_instructions": row.warp_instructions,
-                                "launches": row.launches,
-                            }
-                            for row in entry.rows
-                        ],
-                    }
-                    for digest, entry in partition.items()
+    def _dump_partitions(self) -> dict:
+        return {
+            key: {
+                digest: {
+                    "workload": entry.workload,
+                    "cycles_rate": entry.cycles_rate,
+                    "dram_rate": entry.dram_rate,
+                    "total_warp_instructions": entry.total_warp_instructions,
+                    "total_launches": entry.total_launches,
+                    "rows": [
+                        {
+                            "counters": list(row.counters),
+                            "warp_instructions": row.warp_instructions,
+                            "launches": row.launches,
+                        }
+                        for row in entry.rows
+                    ],
                 }
-                for key, partition in self._partitions.items()
-            },
+                for digest, entry in partition.items()
+            }
+            for key, partition in self._partitions.items()
         }
-        putter(self.context, document)
-        mtime = getattr(self.run_cache, "semcache_state_mtime", None)
-        if mtime is not None:
-            self._state_mtime = mtime(self.context)
-
-
-def resolve_semcache_config(
-    semcache: SemanticCacheConfig | bool | None,
-    transfer_threshold: float | None = None,
-) -> SemanticCacheConfig | None:
-    """Normalize the harness/CLI-facing spec into a config (or None=off)."""
-    if isinstance(semcache, SemanticCacheConfig):
-        config = semcache
-    elif semcache:
-        config = SemanticCacheConfig()
-    else:
-        return None
-    if transfer_threshold is not None:
-        config = replace(config, transfer_threshold=transfer_threshold)
-    return config

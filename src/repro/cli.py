@@ -105,10 +105,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from repro.analysis import (
     CellFailure,
     EvaluationHarness,
+    SemanticCacheConfig,
     abs_pct_error,
     figure1_time_landscape,
     figure4_group_composition,
@@ -125,6 +127,7 @@ from repro.analysis import (
 )
 from repro.errors import ReproError, TaskFailureError
 from repro.gpu import get_gpu
+from repro.predict import PredictConfig
 from repro.sim.faults import FaultPlan
 from repro.sim.parallel import FaultPolicy
 from repro.workloads import get_workload, iter_workloads
@@ -134,6 +137,15 @@ __all__ = ["main"]
 #: Exit codes beyond 0/1: partial sweep completion and interruption.
 EXIT_PARTIAL = 3
 EXIT_INTERRUPTED = 130
+
+
+def _tier_config(config_type, enabled: bool, **overrides):
+    """An approximate tier's config: the defaults with every override
+    that was given, or None when the tier is off."""
+    if not enabled:
+        return None
+    given = {name: value for name, value in overrides.items() if value is not None}
+    return replace(config_type(), **given)
 
 
 def _harness_from_args(args: argparse.Namespace) -> EvaluationHarness:
@@ -159,16 +171,16 @@ def _harness_from_args(args: argparse.Namespace) -> EvaluationHarness:
         validation_mode=(
             "lenient" if getattr(args, "lenient", False) else "strict"
         ),
-        semcache=(
-            getattr(args, "semcache", False)
-            and not getattr(args, "no_semcache", False)
+        semcache=_tier_config(
+            SemanticCacheConfig,
+            getattr(args, "semcache", False),
+            transfer_threshold=getattr(args, "transfer_threshold", None),
         ),
-        transfer_threshold=getattr(args, "transfer_threshold", None),
-        predict=(
-            getattr(args, "predict", False)
-            and not getattr(args, "no_predict", False)
+        predict=_tier_config(
+            PredictConfig,
+            getattr(args, "predict", False),
+            max_error_bound=getattr(args, "predict_max_bound", None),
         ),
-        predict_max_bound=getattr(args, "predict_max_bound", None),
     )
     # Remember the harness so --trace-out can embed the sweep manifest
     # into the run summary after the handler returns.
@@ -979,18 +991,14 @@ def build_parser() -> argparse.ArgumentParser:
         "(requires --cache-dir to persist the index across invocations)",
     )
     common.add_argument(
-        "--no-semcache",
-        action="store_true",
-        help="explicitly disable the semantic cache (overrides --semcache)",
-    )
-    common.add_argument(
         "--transfer-threshold",
         type=float,
         default=None,
         metavar="DIST",
         help="semantic cache coverage radius: maximum mean log-counter "
         "distance a kernel group may have from its nearest indexed "
-        "cluster to be answered by transfer (default 0.25)",
+        "cluster to be answered by transfer (default 0.25; requires "
+        "--semcache)",
     )
     common.add_argument(
         "--predict",
@@ -1001,18 +1009,14 @@ def build_parser() -> argparse.ArgumentParser:
         "otherwise (calibrates online from computed runs)",
     )
     common.add_argument(
-        "--no-predict",
-        action="store_true",
-        help="explicitly disable the prediction tiers (overrides --predict)",
-    )
-    common.add_argument(
         "--predict-max-bound",
         type=float,
         default=None,
         metavar="FRAC",
         help="prediction serving threshold: maximum modeled relative "
         "error bound an estimate may advertise and still be served "
-        "instead of escalating to the DES (default 0.35)",
+        "instead of escalating to the DES (default 0.35; requires "
+        "--predict)",
     )
     common.add_argument(
         "--retries",
@@ -1416,7 +1420,15 @@ def _emit_trace(args: argparse.Namespace, trace_out: str | None) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # A tier knob without its tier would be silently ignored.
+    for knob, flag, tier in (
+        ("transfer_threshold", "--transfer-threshold", "semcache"),
+        ("predict_max_bound", "--predict-max-bound", "predict"),
+    ):
+        if getattr(args, knob, None) is not None and not getattr(args, tier):
+            parser.error(f"{flag} requires --{tier}")
     handlers = {
         "list": _cmd_list,
         "characterize": _cmd_characterize,

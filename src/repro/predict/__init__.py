@@ -24,7 +24,6 @@ from repro.predict.tiers import (
     PredictConfig,
     PredictTiers,
     PredictedResult,
-    resolve_predict_config,
 )
 
 __all__ = [

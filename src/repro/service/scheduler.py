@@ -455,20 +455,12 @@ class Scheduler:
         if request.fault is None and self._probe_cache(record, digest):
             obs_count("service.cache_hits")
             return record, True
-        # Semantic-cache warm path: a digest miss whose kernels are all
-        # covered by already-simulated clusters is answered by transfer
-        # and completes right here — it never queues and never runs the
-        # DES.  Declined lookups (coverage or bound escalations) fall
-        # through to the normal compute pipeline below.
-        if request.fault is None and self._probe_transfer(record, digest):
-            obs_count("service.transfer_hits")
-            return record, True
-        # Prediction warm path: both exact and similarity probes missed,
-        # but the prediction tiers can price the cell within their error
-        # bound — the job completes at submission without any event
-        # loop.  Escalations fall through to the compute pipeline.
-        if request.fault is None and self._probe_predict(record, digest):
-            obs_count("service.predict_hits")
+        # Approximate warm path: a digest miss that the semantic cache
+        # (similarity transfer) or the prediction tiers can answer within
+        # their error bound completes right here — it never queues and
+        # never runs the DES.  Escalations fall through to the normal
+        # compute pipeline below.
+        if request.fault is None and self._probe_approx(record, digest):
             return record, True
         # Circuit breaker: a cold cell cannot complete while every
         # worker is down — shed it now with retry advice instead of
@@ -548,51 +540,35 @@ class Scheduler:
         self._complete(record, "done", result=cached, source="cache")
         return True
 
-    def _probe_transfer(self, record: JobRecord, digest: str) -> bool:
-        """Complete the job by similarity transfer if the index covers it.
+    def _probe_approx(self, record: JobRecord, digest: str) -> bool:
+        """Complete the job from the first approximate tier that answers.
 
-        Mirrors :meth:`_probe_cache`'s durability contract: the accepted
-        record is journaled before the completion, so replay accounting
-        holds for transfer answers too.
+        Tiers are probed in consult order (semantic cache, then the
+        prediction tiers).  Mirrors :meth:`_probe_cache`'s durability
+        contract: the accepted record is journaled before the
+        completion, so replay accounting holds for approximate answers
+        too.
         """
-        if getattr(self.harness, "semcache", None) is None:
-            return False
-        transfer = self.harness.transfer_probe(
-            record.request.workload, record.request.method, record.request.gpu
-        )
-        if transfer is None:
-            return False
-        self._journal_event(
-            "accepted",
-            record,
-            request=record.request.to_document(),
-            digest=digest,
-        )
-        self._complete(record, "done", result=transfer, source="transfer")
-        return True
-
-    def _probe_predict(self, record: JobRecord, digest: str) -> bool:
-        """Complete the job from the prediction tiers if they can serve
-        it within their configured error bound.
-
-        Same durability contract as the other submit-time probes: the
-        accepted record is journaled before the completion.
-        """
-        if getattr(self.harness, "predict", None) is None:
-            return False
-        predicted = self.harness.predict_probe(
-            record.request.workload, record.request.method, record.request.gpu
-        )
-        if predicted is None:
-            return False
-        self._journal_event(
-            "accepted",
-            record,
-            request=record.request.to_document(),
-            digest=digest,
-        )
-        self._complete(record, "done", result=predicted, source="predicted")
-        return True
+        request = record.request
+        harness = self.harness
+        # Through the named probes: they are the per-tier entry points
+        # that tracing wraps (bench/spans.py).
+        for tier, probe, hits in (
+            (harness.semcache, harness.transfer_probe, "service.transfer_hits"),
+            (harness.predict, harness.predict_probe, "service.predict_hits"),
+        ):
+            if tier is None:
+                continue
+            answer = probe(request.workload, request.method, request.gpu)
+            if answer is None:
+                continue
+            self._journal_event(
+                "accepted", record, request=request.to_document(), digest=digest
+            )
+            self._complete(record, "done", result=answer, source=tier.source)
+            obs_count(hits)
+            return True
+        return False
 
     def get(self, job_id: str) -> JobRecord:
         with self._lock:
@@ -857,27 +833,13 @@ class Scheduler:
         }
         cache = self.harness.run_cache
         lookups = cache.hits + cache.misses
-        latency = {
-            "all": span_percentiles(tracer, "service.job"),
-            "cache": span_percentiles(
-                tracer, "service.job", where=lambda args: args.get("source") == "cache"
-            ),
-            "computed": span_percentiles(
+        latency = {"all": span_percentiles(tracer, "service.job")}
+        for source in ("cache", "computed", "transfer", "predicted"):
+            latency[source] = span_percentiles(
                 tracer,
                 "service.job",
-                where=lambda args: args.get("source") == "computed",
-            ),
-            "transfer": span_percentiles(
-                tracer,
-                "service.job",
-                where=lambda args: args.get("source") == "transfer",
-            ),
-            "predicted": span_percentiles(
-                tracer,
-                "service.job",
-                where=lambda args: args.get("source") == "predicted",
-            ),
-        }
+                where=lambda args, source=source: args.get("source") == source,
+            )
         oldest_us = self.queue.oldest_submitted_us()
         queue_age = span_percentiles(tracer, "service.queue_wait")
         queue_age["oldest_wait_s"] = (
@@ -911,14 +873,13 @@ class Scheduler:
             },
             "latency_ms": latency,
         }
-        semcache = getattr(self.harness, "semcache", None)
-        document["semcache"] = (
-            semcache.snapshot() if semcache is not None else {"enabled": False}
-        )
-        predict = getattr(self.harness, "predict", None)
-        document["predict"] = (
-            predict.snapshot() if predict is not None else {"enabled": False}
-        )
+        for section, tier in (
+            ("semcache", self.harness.semcache),
+            ("predict", self.harness.predict),
+        ):
+            document[section] = (
+                tier.snapshot() if tier is not None else {"enabled": False}
+            )
         if self.supervisor is not None:
             document["workers"] = self.supervisor.snapshot()
         if self.autoscaler is not None:

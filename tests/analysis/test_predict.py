@@ -24,8 +24,8 @@ from repro.predict import (
     CycleSurrogate,
     PredictConfig,
     PredictedResult,
+    PredictTiers,
     price_app,
-    resolve_predict_config,
 )
 
 #: Three completable apps to calibrate on (min_calibration defaults to 3).
@@ -141,7 +141,7 @@ class TestPrediction:
 class TestEscalation:
     def test_cold_tiers_escalate(self, harness):
         assert harness.predict_probe(NEAR, "full_sim") is None
-        assert harness.predict.escalations_cold == 1
+        assert harness.predict.escalations_by["cold"] == 1
 
     def test_escalated_result_is_bitwise_identical(self, harness, tmp_path):
         # A cold consult escalates to the DES; the computed result must
@@ -164,7 +164,7 @@ class TestEscalation:
         )
         _warm(harness)
         assert harness.predict_probe(NEAR, "full_sim") is None
-        assert harness.predict.escalations_bound == 1
+        assert harness.predict.escalations_by["bound"] == 1
 
     def test_ledger_reconciles(self, harness):
         _warm(harness)  # three cold escalations while calibrating
@@ -214,23 +214,15 @@ class TestPersistence:
         )
         # Corrupt state means cold tiers: escalate, don't crash.
         assert second.predict_probe(NEAR, "full_sim") is None
-        assert second.predict.escalations_cold == 1
+        assert second.predict.escalations_by["cold"] == 1
 
 
 class TestConfig:
     def test_defaults_resolve(self):
-        config = resolve_predict_config(True)
+        config = PredictTiers.resolve_config(True)
         assert config == PredictConfig()
-        assert resolve_predict_config(None) is None
-        assert resolve_predict_config(False) is None
-
-    def test_bound_override(self):
-        config = resolve_predict_config(True, max_error_bound=0.1)
-        assert config.max_error_bound == 0.1
-        passthrough = PredictConfig(error_floor=0.01)
-        resolved = resolve_predict_config(passthrough, max_error_bound=0.2)
-        assert resolved.error_floor == 0.01
-        assert resolved.max_error_bound == 0.2
+        assert PredictTiers.resolve_config(None) is None
+        assert PredictTiers.resolve_config(False) is None
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -14,9 +14,9 @@ import pytest
 
 from repro.analysis import EvaluationHarness
 from repro.analysis.semcache import (
+    SemanticCache,
     SemanticCacheConfig,
     TransferResult,
-    resolve_semcache_config,
 )
 from repro.errors import ReproError
 
@@ -58,7 +58,7 @@ class TestTransfer:
         first = harness.evaluation(NEAR).pka_sim()
         again = harness.evaluation(NEAR).pka_sim()
         assert again is first  # memory memo, no second lookup
-        assert harness.semcache.transfers == 1
+        assert harness.semcache.answers == 1
 
     def test_digest_cache_stays_exact(self, harness):
         harness.evaluation(BASE).pka_sim()
@@ -98,13 +98,13 @@ class TestTransfer:
 class TestEscalation:
     def test_empty_index_escalates_coverage(self, harness):
         assert harness.transfer_probe(NEAR, "pka_sim") is None
-        assert harness.semcache.escalations_coverage == 1
+        assert harness.semcache.escalations_by["coverage"] == 1
 
     def test_dissimilar_workload_escalates_coverage(self, harness):
         harness.evaluation(BASE).pka_sim()
-        before = harness.semcache.escalations_coverage
+        before = harness.semcache.escalations_by["coverage"]
         assert harness.transfer_probe(FAR, "pka_sim") is None
-        assert harness.semcache.escalations_coverage == before + 1
+        assert harness.semcache.escalations_by["coverage"] == before + 1
 
     def test_tight_bound_escalates(self, tmp_path):
         config = SemanticCacheConfig(max_error_bound=0.1501, error_floor=0.15)
@@ -113,7 +113,7 @@ class TestEscalation:
         )
         harness.evaluation(BASE).pka_sim()
         assert harness.transfer_probe(NEAR, "pka_sim") is None
-        assert harness.semcache.escalations_bound == 1
+        assert harness.semcache.escalations_by["bound"] == 1
 
     def test_ledger_reconciles(self, harness):
         harness.evaluation(BASE).pka_sim()
@@ -169,23 +169,15 @@ class TestPersistence:
         )
         # Corrupt state means an empty index: escalate, don't crash.
         assert second.transfer_probe(NEAR, "pka_sim") is None
-        assert second.semcache.escalations_coverage == 1
+        assert second.semcache.escalations_by["coverage"] == 1
 
 
 class TestConfig:
     def test_defaults_resolve(self):
-        config = resolve_semcache_config(True)
+        config = SemanticCache.resolve_config(True)
         assert config == SemanticCacheConfig()
-        assert resolve_semcache_config(None) is None
-        assert resolve_semcache_config(False) is None
-
-    def test_threshold_override(self):
-        config = resolve_semcache_config(True, transfer_threshold=0.05)
-        assert config.transfer_threshold == 0.05
-        passthrough = SemanticCacheConfig(max_error_bound=0.5)
-        resolved = resolve_semcache_config(passthrough, transfer_threshold=0.1)
-        assert resolved.max_error_bound == 0.5
-        assert resolved.transfer_threshold == 0.1
+        assert SemanticCache.resolve_config(None) is None
+        assert SemanticCache.resolve_config(False) is None
 
     @pytest.mark.parametrize(
         "kwargs",

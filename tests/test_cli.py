@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 import repro.cli as cli
+from repro.analysis.semcache import SemanticCacheConfig
 from repro.cli import EXIT_INTERRUPTED, EXIT_PARTIAL, build_parser, main
+from repro.predict import PredictConfig
 
 
 class TestParser:
@@ -38,6 +40,55 @@ class TestParser:
         assert args.task_timeout == 2.5
         assert args.strict
         assert args.inject_faults == "exception@3,crash@7xP"
+
+
+class TestTierFlags:
+    """Each approximate-tier knob overrides its tier's default config;
+    given without its tier it is a usage error, not silently ignored."""
+
+    @staticmethod
+    def _harness(*argv):
+        return cli._harness_from_args(build_parser().parse_args(["list", *argv]))
+
+    def test_tiers_are_off_by_default(self):
+        harness = self._harness()
+        assert harness.semcache is None and harness.predict is None
+
+    def test_threshold_override(self):
+        for threshold in (0.05, 0.1):
+            harness = self._harness(
+                "--semcache", "--transfer-threshold", str(threshold)
+            )
+            assert harness.semcache.config == SemanticCacheConfig(
+                transfer_threshold=threshold
+            )
+            assert harness.predict is None
+
+    def test_bound_override(self):
+        for bound in (0.1, 0.2):
+            harness = self._harness("--predict", "--predict-max-bound", str(bound))
+            assert harness.predict.config == PredictConfig(max_error_bound=bound)
+            assert harness.semcache is None
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["--transfer-threshold", "0.1"], "--transfer-threshold requires --semcache"),
+            (["--predict", "--transfer-threshold", "0.1"], "--transfer-threshold requires --semcache"),
+            (["--predict-max-bound", "0.2"], "--predict-max-bound requires --predict"),
+            (["--semcache", "--predict-max-bound", "0.2"], "--predict-max-bound requires --predict"),
+        ],
+    )
+    def test_knob_without_its_tier_is_a_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["list", *argv])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--no-semcache", "--no-predict"])
+    def test_disable_flags_are_gone(self, flag):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["list", flag])
 
 
 class TestCommands:
