@@ -837,10 +837,11 @@ class EvaluationHarness:
 
         Execution is **fault-tolerant by default**: every cell runs
         under the harness's :class:`~repro.sim.parallel.FaultPolicy`
-        (retries with deterministic backoff, optional timeout, dead
-        workers isolated and their surviving cells recomputed), and a
-        cell that still fails is returned as a :class:`CellFailure`
-        in its slot instead of aborting the sweep.  ``strict=True``
+        (retries with deterministic backoff, optional timeout; each pool
+        worker holds one cell, so a dead or overdue worker is charged to
+        exactly that cell and no other cell reruns), and a cell that
+        still fails is returned as a :class:`CellFailure` in its slot
+        instead of aborting the sweep.  ``strict=True``
         restores fail-fast: the first failure is raised as its typed
         :class:`~repro.errors.TaskFailureError` — after the sweep
         manifest has been recorded, so completed work is never lost.
@@ -851,11 +852,10 @@ class EvaluationHarness:
 
         ``progress`` is a **job-granular** completion hook: it receives
         each cell's :class:`~repro.sim.parallel.TaskOutcome` as soon as
-        the runtime decides it (per task inline, per round on the pool),
-        before the sweep finishes.  The serving scheduler uses it to
-        complete jobs without waiting for the whole batch.  It is called
-        from the dispatching thread; callbacks must be fast and must not
-        raise.
+        the runtime decides it, inline or on the pool, before the sweep
+        finishes.  The serving scheduler uses it to complete jobs without
+        waiting for the whole batch.  It is called from the dispatching
+        thread; callbacks must be fast and must not raise.
 
         ``crash_in_process=True`` makes an injected ``"crash"`` fault
         genuinely ``os._exit`` the calling process instead of simulating
@@ -918,26 +918,14 @@ class EvaluationHarness:
                     )
                     for cell in normalized
                 ]
-                run_tasks = getattr(self.backend, "run_tasks", None)
-                if run_tasks is None:
-                    outcomes = _run_tasks_inline(
-                        _evaluate_cell_task,
-                        payloads,
-                        policy,
-                        labels,
-                        plan,
-                        False,
-                        progress,
-                    )
-                else:
-                    outcomes = run_tasks(
-                        _evaluate_cell_task,
-                        payloads,
-                        policy=policy,
-                        labels=labels,
-                        fault_plan=plan,
-                        on_outcome=progress,
-                    )
+                outcomes = self.backend.run_tasks(
+                    _evaluate_cell_task,
+                    payloads,
+                    policy=policy,
+                    labels=labels,
+                    fault_plan=plan,
+                    on_outcome=progress,
+                )
         results: list = []
         failures: list[CellFailure] = []
         first_failed = None

@@ -752,6 +752,8 @@ class RunCache:
             document = json.loads(
                 self._manifest_path(sweep_id).read_text(encoding="utf-8")
             )
+            if not isinstance(document, dict):
+                return None
             if document.get("kind") != "sweep_manifest":
                 return None
             return document["payload"]

@@ -14,8 +14,9 @@ decision lives here, once:
   (``snapshot()["reconciles"]``).  Every tally is mirrored into an obs
   counter under the tier's ``kind`` prefix;
 * observed-error feedback: each answer is remembered against its cell
-  digest, and when a computed ground truth later lands on that digest
-  the realized error is recorded against the advertised bound;
+  digest (the latest :data:`MAX_PREDICTIONS` of them), and when a
+  computed ground truth later lands on that digest the realized error
+  is recorded against the advertised bound;
 * ``method@gpu`` partitions inside one per-context state document, and
   the mtime-gated load-and-merge / persist of that document through the
   run cache's ``get_state``/``put_state``/``state_mtime``.
@@ -37,6 +38,12 @@ from repro.sim.simulator import ModelErrorConfig
 from repro.sim.stats import AppRunResult
 
 __all__ = ["ApproxTier", "ObservedError"]
+
+#: Answers a tier remembers for observed-error feedback, oldest dropped
+#: first, so a long-lived server's map stays bounded.  A ``serve-mix``
+#: benchmark run answers 192-199 of its 650 jobs by a tier (seeds 1-7),
+#: so none of its answers is dropped before its ground truth can land.
+MAX_PREDICTIONS = 4096
 
 
 class ObservedError:
@@ -199,6 +206,8 @@ class ApproxTier:
                 return None
             result, bound, by = priced
             self._predictions[digest] = (result.total_cycles, bound)
+            if len(self._predictions) > MAX_PREDICTIONS:
+                del self._predictions[next(iter(self._predictions))]
             self.answers += 1
             obs_count(f"{self.kind}.{self.answers_key}")
             if by is not None:

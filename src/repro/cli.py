@@ -74,7 +74,9 @@ Every command accepts the execution flags (see ``docs/API.md``,
     Ignore ``--cache-dir`` for this invocation.
 ``--retries N`` / ``--task-timeout SECONDS``
     Fault policy for sweep cells: retry budget per cell (default 2)
-    and wall-clock timeout per attempt (default: none).
+    and wall-clock timeout per attempt (default: none).  ``serve``
+    ships the same policy to its fleet workers, and a job that kills
+    more than ``--retries`` workers is quarantined as poison.
 ``--strict``
     Fail fast on the first cell failure instead of returning partial
     results.
@@ -653,7 +655,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             workers=workers,
             journal_path=journal_path,
             heartbeat_timeout=args.heartbeat_timeout,
-            redispatch_budget=args.redispatch_budget,
             retry_after=args.retry_after,
             autoscale=autoscale,
             default_deadline=args.default_deadline,
@@ -1023,7 +1024,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="fault policy: retries per failing cell (default 2)",
+        help="fault policy: retries per failing cell, and re-dispatches "
+        "per job after fleet worker deaths (default 2)",
     )
     common.add_argument(
         "--task-timeout",
@@ -1276,14 +1278,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="declare a fleet worker dead after this long without a "
         "heartbeat (hung-worker detection)",
-    )
-    serve.add_argument(
-        "--redispatch-budget",
-        type=int,
-        default=2,
-        metavar="N",
-        help="re-dispatches allowed per job after worker deaths before "
-        "it is quarantined as poison",
     )
     serve.add_argument(
         "--retry-after",

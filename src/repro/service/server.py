@@ -273,7 +273,6 @@ class PKAService:
         workers: int = 0,
         journal_path: str | None = None,
         heartbeat_timeout: float = 10.0,
-        redispatch_budget: int = 2,
         respawn_backoff: float = 0.25,
         retry_after: float = 1.0,
         autoscale: AutoscalerConfig | None = None,
@@ -298,7 +297,6 @@ class PKAService:
                 harness,
                 workers,
                 heartbeat_timeout=heartbeat_timeout,
-                redispatch_budget=redispatch_budget,
                 respawn_backoff=respawn_backoff,
             )
             if workers > 0
@@ -430,9 +428,7 @@ class PKAService:
         self.scheduler.close()
         self._httpd.shutdown()
         self._httpd.server_close()
-        backend_close = getattr(self.harness.backend, "close", None)
-        if backend_close is not None:
-            backend_close()
+        self.harness.backend.close()
 
     def __enter__(self) -> "PKAService":
         return self.start()

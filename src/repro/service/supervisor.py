@@ -15,10 +15,12 @@ workers' lives:
   process exited *or* whose heartbeat went stale (hung) is declared
   dead and killed.
 * **Recovery** — a dead worker's in-flight job is re-dispatched to the
-  front of the queue.  Each job carries a redispatch budget; a job that
-  keeps killing workers is routed to **poison quarantine** (a typed
-  ``failed`` terminal state carrying the crash evidence) instead of
-  crash-looping the fleet — mirroring the run cache's corrupt-entry
+  front of the queue.  Each dead worker costs its job one attempt of the
+  harness's :class:`~repro.sim.parallel.FaultPolicy` — the same
+  ``max_retries`` budget the process pool charges crashes against; a
+  job that keeps killing workers is routed to **poison quarantine** (a
+  typed ``failed`` terminal state carrying the crash evidence) instead
+  of crash-looping the fleet — mirroring the run cache's corrupt-entry
   quarantine posture.
 * **Respawn** — dead workers are respawned with exponential backoff
   (consecutive deaths back off further; a successful job resets the
@@ -30,12 +32,13 @@ supervisor contributes ``any_alive`` and a next-respawn estimate for
 the 503 ``Retry-After`` header.
 
 Workers exit on their own when the coordinator disappears (they watch
-``getppid``), so a SIGKILLed coordinator does not leak children.
+``getppid``), so a SIGKILLed coordinator does not leak children.  The
+worker processes themselves are started, killed and collected through
+the primitive :mod:`repro.sim.parallel` shares with the process pool.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import queue as queue_mod
 import threading
@@ -55,18 +58,13 @@ from repro.core.pka import KernelSelection
 from repro.obs import obs_count
 from repro.service.jobs import JobRecord, parse_job_fault
 from repro.sim.faults import FaultPlan, InjectedFault
+from repro.sim.parallel import kill_worker, reap_worker, spawn_worker, worker_context
 from repro.sim.stats import AppRunResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.service.scheduler import Scheduler
 
 __all__ = ["WorkerSupervisor"]
-
-
-def _mp_context():
-    """Prefer fork (same choice as ProcessPoolBackend); fall back."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
 def _worker_main(
@@ -84,11 +82,13 @@ def _worker_main(
     if the coordinator dies (even SIGKILL), the worker exits instead of
     leaking.  Injected "crash" faults run with ``crash_in_process=True``
     so they genuinely ``os._exit`` this process: that is how poison jobs
-    kill real workers and exercise the supervisor.
+    kill real workers and exercise the supervisor.  Retries and the
+    per-attempt timeout follow the coordinator's fault policy.
     """
-    config, model_error, instruction_budget, cache_root, mode, intra_spec = (
-        harness_args
-    )
+    (
+        config, model_error, instruction_budget, cache_root, mode, intra_spec,
+        fault_policy,
+    ) = harness_args
     harness = EvaluationHarness(
         config,
         model_error,
@@ -96,6 +96,7 @@ def _worker_main(
         cache_dir=cache_root,
         validation_mode=mode,
         intra_jobs=intra_spec,
+        fault_policy=fault_policy,
     )
     stop = threading.Event()
 
@@ -235,22 +236,18 @@ class WorkerSupervisor:
         *,
         heartbeat_interval: float = 0.2,
         heartbeat_timeout: float = 10.0,
-        redispatch_budget: int = 2,
         respawn_backoff: float = 0.25,
         respawn_backoff_cap: float = 5.0,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if redispatch_budget < 0:
-            raise ValueError("redispatch_budget must be >= 0")
         self.harness = harness
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
-        self.redispatch_budget = redispatch_budget
         self.respawn_backoff = respawn_backoff
         self.respawn_backoff_cap = respawn_backoff_cap
         self.scheduler: "Scheduler" | None = None
-        self._ctx = _mp_context()
+        self._ctx = worker_context()
         self._events = self._ctx.Queue()
         self._slots = [_WorkerSlot(worker_id=i) for i in range(workers)]
         self._lock = threading.RLock()
@@ -316,7 +313,7 @@ class WorkerSupervisor:
             if process is None:
                 continue
             if kill:
-                self._kill_process(process)
+                kill_worker(process)
             else:
                 try:
                     slot.task_queue.put(None)
@@ -327,24 +324,11 @@ class WorkerSupervisor:
             process = slot.process
             if process is None:
                 continue
-            process.join(timeout=max(0.0, deadline - time.monotonic()))
-            if process.is_alive():
-                self._kill_process(process)
-                process.join(timeout=1.0)
+            reap_worker(process, grace=max(0.0, deadline - time.monotonic()))
             slot.process = None
         for thread in self._threads:
             thread.join(timeout=2.0)
         self._threads.clear()
-
-    @staticmethod
-    def _kill_process(process) -> None:
-        try:
-            process.kill()
-        except Exception:
-            try:
-                process.terminate()
-            except Exception:
-                pass
 
     # ------------------------------------------------------------------
     # Spawning
@@ -368,29 +352,24 @@ class WorkerSupervisor:
             cache_root,
             harness.validation_mode,
             intra_spec,
+            harness.fault_policy,
         )
 
     def _spawn_locked(self, slot: _WorkerSlot, now: float) -> None:
         slot.generation += 1
-        slot.task_queue = self._ctx.Queue()
         slot.last_heartbeat = now
-        process = self._ctx.Process(
-            target=_worker_main,
-            args=(
-                slot.worker_id,
-                slot.generation,
-                slot.task_queue,
-                self._events,
-                self._harness_args(),
-                self.heartbeat_interval,
-                os.getpid(),
-            ),
+        slot.process, slot.task_queue = spawn_worker(
+            self._ctx,
+            _worker_main,
+            slot.worker_id,
+            slot.generation,
+            self._events,
+            self._harness_args(),
+            self.heartbeat_interval,
+            os.getpid(),
             name=f"pka-worker-{slot.worker_id}",
-            daemon=True,
         )
-        process.start()
-        slot.process = process
-        slot.pid = process.pid
+        slot.pid = slot.process.pid
         slot.respawn_at = 0.0
         self._dispatchable.notify()
 
@@ -479,7 +458,7 @@ class WorkerSupervisor:
             try:
                 slot.task_queue.put(None)  # graceful: worker exits its loop
             except Exception:
-                self._kill_process(process)
+                kill_worker(process)
         slot.retired = True
         slot.draining = False
         slot.respawn_at = 0.0
@@ -566,7 +545,7 @@ class WorkerSupervisor:
             "busy": sum(1 for slot in slots if slot["current_job"]),
             "retired": retired,
             "heartbeat_timeout_s": self.heartbeat_timeout,
-            "redispatch_budget": self.redispatch_budget,
+            "redispatch_budget": self.harness.fault_policy.max_retries,
             "deaths": self.worker_deaths,
             "respawns": self.respawns,
             "redispatches": self.redispatches,
@@ -754,16 +733,14 @@ class WorkerSupervisor:
         reason: str | None = None,
     ) -> None:
         """Declare one worker dead: kill, record evidence, recover its job."""
-        process = slot.process
-        if not exited:
-            self._kill_process(process)  # hung or overdue: put it down
-            process.join(timeout=1.0)
+        # A hung or overdue worker is put down first.
+        exitcode = reap_worker(slot.process, kill=not exited)
         evidence = {
             "worker_id": slot.worker_id,
             "pid": slot.pid,
             "generation": slot.generation,
             "reason": reason or ("exited" if exited else "stale-heartbeat"),
-            "exitcode": process.exitcode,
+            "exitcode": exitcode,
             "heartbeat_age_s": round(now - slot.last_heartbeat, 3),
         }
         slot.last_exit = evidence
@@ -787,7 +764,7 @@ class WorkerSupervisor:
         if record is None or record.terminal:
             return
         evidence = dict(evidence, job_id=record.job_id)
-        if record.redispatches >= self.redispatch_budget:
+        if record.redispatches >= self.harness.fault_policy.max_retries:
             self.quarantined += 1
             self.scheduler.quarantine(record, evidence)
         else:

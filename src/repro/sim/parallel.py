@@ -6,7 +6,7 @@ independent, deterministic computation.  This module provides the
 execution backends the rest of the stack fans work out through:
 
 * :class:`SerialBackend` — in-process, in-order execution (the default);
-* :class:`ProcessPoolBackend` — a ``ProcessPoolExecutor`` fan-out with a
+* :class:`ProcessPoolBackend` — a fan-out over worker processes with a
   *deterministic reduce*: results always come back in submission order,
   so callers accumulate them exactly as the serial path would and
   parallel results are bit-identical to serial ones.
@@ -27,14 +27,13 @@ runtime**: ``run_tasks`` executes every task under a
 exponential backoff, an optional wall-clock timeout) and returns one
 :class:`TaskOutcome` per task — a value or a structured
 :class:`TaskFailure` — instead of aborting the whole batch on the first
-problem.  The pool backend additionally detects dead workers: a
-``BrokenProcessPool`` round is re-run at single-task granularity until
-the poison task is isolated, charged a :class:`~repro.errors.WorkerCrashError`
-and (once retries are exhausted) quarantined, while every innocent
-bystander task is recomputed for free.  Hung tasks past the policy
-timeout have their workers terminated and are retried the same way.
-Recovery never reorders results, so the bit-identical serial == parallel
-guarantee holds for every non-quarantined task.
+problem.  Like the service's worker fleet, which starts, kills and
+collects its workers with this module's :func:`spawn_worker`,
+:func:`kill_worker` and :func:`reap_worker`, the pool keeps at most one
+task on each worker: a worker that dies, or misses the deadline its
+task got at dispatch, is charged to exactly that task, and every other
+task runs once.  Recovery never reorders results, so the bit-identical
+serial == parallel guarantee holds for every non-quarantined task.
 """
 
 from __future__ import annotations
@@ -43,9 +42,10 @@ import hashlib
 import multiprocessing
 import os
 import time
+from collections import deque
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import Any, Protocol, runtime_checkable
 
 from repro.errors import (
@@ -68,7 +68,11 @@ __all__ = [
     "TaskOutcome",
     "auto_worker_count",
     "chunked",
+    "kill_worker",
+    "reap_worker",
     "resolve_backend",
+    "spawn_worker",
+    "worker_context",
 ]
 
 
@@ -209,27 +213,36 @@ class TaskOutcome:
 
 
 class _TaskState:
-    """Mutable bookkeeping for one task across retry rounds."""
+    """Mutable bookkeeping for one task across its attempts."""
 
-    __slots__ = ("index", "item", "label", "attempt", "outcome")
+    __slots__ = ("index", "item", "label", "fault", "attempt")
 
-    def __init__(self, index: int, item: Any, label: str) -> None:
+    def __init__(self, index: int, item: Any, label: str, fault) -> None:
         self.index = index
         self.item = item
         self.label = label
+        self.fault = fault
         self.attempt = 1
-        self.outcome: TaskOutcome | None = None
 
 
-def _labels_for(work: Sequence[Any], labels: Sequence[str] | None) -> list[str]:
-    if labels is None:
-        return [f"task {index}" for index in range(len(work))]
-    labels = list(labels)
-    if len(labels) != len(work):
-        raise ConfigurationError(
-            f"got {len(labels)} labels for {len(work)} tasks"
+def _task_states(
+    work: Sequence[Any],
+    labels: Sequence[str] | None,
+    policy: FaultPolicy,
+    fault_plan: FaultPlan | None,
+) -> list[_TaskState]:
+    """One state per task: its label and its resolved injected fault."""
+    names = [f"task {i}" for i in range(len(work))] if labels is None else list(labels)
+    if len(names) != len(work):
+        raise ConfigurationError(f"got {len(names)} labels for {len(work)} tasks")
+    hang = policy.hang_seconds()
+    return [
+        _TaskState(
+            index, item, names[index],
+            fault_plan.resolved(index, hang) if fault_plan else None,
         )
-    return labels
+        for index, item in enumerate(work)
+    ]
 
 
 def _raise_outcome(outcome: TaskOutcome) -> None:
@@ -257,45 +270,30 @@ def _classify(exc: BaseException) -> str:
     return "crash" if isinstance(exc, WorkerCrashError) else "exception"
 
 
-def _final_failure(
-    state: _TaskState, kind: str, exc: BaseException | None
-) -> TaskFailure:
-    if exc is None:
-        if kind == "timeout":
-            error_type, message = "TaskTimeoutError", "attempt exceeded the policy timeout"
-        else:
-            error_type, message = "WorkerCrashError", "worker process died mid-task"
-    else:
-        error_type, message = type(exc).__name__, str(exc)
-    return TaskFailure(
-        index=state.index,
-        label=state.label,
-        kind=kind,
-        error_type=error_type,
-        message=message,
-        attempts=state.attempt,
-    )
+def _settle(
+    state: _TaskState, policy: FaultPolicy, kind: str, exc: BaseException | None
+) -> TaskOutcome | None:
+    """Charge ``state`` one failed attempt.
 
-
-def _observed_pool_task(payload: tuple) -> tuple[Any, ObsSnapshot | None]:
-    """Worker: run one fault-wrapped task, optionally capturing telemetry.
-
-    ``payload`` is ``((fn, item, fault, attempt, True), label, capture)``.
-    With ``capture`` set (the parent's tracer was enabled at submission),
-    the task runs under an isolated tracer and its spans/counters are
-    shipped back alongside the value; the parent merges them into its own
-    timeline and attaches them to the :class:`TaskOutcome`.  The inner
-    payload is exactly what :func:`~repro.sim.faults.run_with_fault`
-    expects, so fault-injection semantics are untouched.
+    None when the policy grants another attempt (after its deterministic
+    backoff); otherwise the task's quarantined outcome.
     """
-    inner, label, capture = payload
-    if not capture:
-        return run_with_fault(inner), None
-    attempt = inner[3]
-    with capture_tracer() as tracer:
-        with tracer.span("task", label=label, attempt=attempt, worker=os.getpid()):
-            value = run_with_fault(inner)
-        return value, tracer.snapshot()
+    if state.attempt < policy.max_attempts:
+        time.sleep(policy.backoff_seconds(state.index, state.attempt))
+        state.attempt += 1
+        obs_count("tasks.retries")
+        return None
+    obs_count("tasks.quarantined")
+    if exc is not None:
+        error_type, message = type(exc).__name__, str(exc)
+    elif kind == "timeout":
+        error_type, message = "TaskTimeoutError", "attempt exceeded the policy timeout"
+    else:
+        error_type, message = "WorkerCrashError", "worker process died mid-task"
+    failure = TaskFailure(
+        state.index, state.label, kind, error_type, message, state.attempt
+    )
+    return TaskOutcome(state.index, state.label, failure=failure, exception=exc)
 
 
 def _run_tasks_inline(
@@ -318,60 +316,108 @@ def _run_tasks_inline(
     ``crash_in_process``) so a "crash" fault genuinely kills them and
     exercises the supervisor's dead-worker recovery.
     """
-    names = _labels_for(work, labels)
     outcomes: list[TaskOutcome] = []
-    for index, item in enumerate(work):
-        state = _TaskState(index, item, names[index])
-        fault = (
-            fault_plan.resolved(index, policy.hang_seconds())
-            if fault_plan
-            else None
-        )
-        while True:
+    for state in _task_states(work, labels, policy, fault_plan):
+        outcome = None
+        while outcome is None:
             started = time.monotonic()
             try:
                 with obs_span("task", label=state.label, attempt=state.attempt):
                     value = run_with_fault(
-                        (fn, item, fault, state.attempt, in_worker)
+                        (fn, state.item, state.fault, state.attempt, in_worker)
                     )
             except (KeyboardInterrupt, SystemExit):
                 raise
             except BaseException as exc:
-                kind, last_exc = _classify(exc), exc
-            else:
-                elapsed = time.monotonic() - started
-                if (
-                    policy.timeout_seconds is not None
-                    and elapsed > policy.timeout_seconds
-                ):
-                    kind, last_exc = "timeout", None
-                else:
-                    state.outcome = TaskOutcome(index, state.label, value=value)
-                    break
-            if state.attempt < policy.max_attempts:
-                time.sleep(policy.backoff_seconds(index, state.attempt))
-                state.attempt += 1
-                obs_count("tasks.retries")
+                outcome = _settle(state, policy, _classify(exc), exc)
                 continue
-            obs_count("tasks.quarantined")
-            state.outcome = TaskOutcome(
-                index,
-                state.label,
-                failure=_final_failure(state, kind, last_exc),
-                exception=last_exc,
-            )
-            break
+            if (
+                policy.timeout_seconds is not None
+                and time.monotonic() - started > policy.timeout_seconds
+            ):
+                outcome = _settle(state, policy, "timeout", None)
+            else:
+                outcome = TaskOutcome(state.index, state.label, value=value)
         if on_outcome is not None:
-            on_outcome(state.outcome)
-        if strict and not state.outcome.ok:
-            _raise_outcome(state.outcome)
-        outcomes.append(state.outcome)
+            on_outcome(outcome)
+        if strict and not outcome.ok:
+            _raise_outcome(outcome)
+        outcomes.append(outcome)
     return outcomes
+
+
+# ---------------------------------------------------------------------------
+# Worker processes: the one spawn/kill/reap core the pool and the service's
+# worker fleet share.
+# ---------------------------------------------------------------------------
+
+
+def worker_context():
+    """The multiprocessing context every worker process is started from.
+
+    Fork is the fast path and inherits loaded modules; fall back to the
+    platform default where fork is unavailable (e.g. Windows).
+    """
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else None)
+
+
+def spawn_worker(
+    context,
+    target: Callable[..., None],
+    worker_id: int,
+    generation: int,
+    *args: Any,
+    name: str,
+    daemon: bool = True,
+):
+    """Start ``target(worker_id, generation, task_queue, *args)``.
+
+    Each child gets a fresh task queue of its own, so putting one worker
+    down never strands another worker's work.  Returns ``(process,
+    task_queue)``.
+    """
+    task_queue = context.Queue()
+    process = context.Process(
+        target=target,
+        args=(worker_id, generation, task_queue, *args),
+        name=name,
+        daemon=daemon,
+    )
+    process.start()
+    return process, task_queue
+
+
+def kill_worker(process) -> None:
+    """SIGKILL a worker, falling back to terminate where kill fails."""
+    try:
+        process.kill()
+    except Exception:
+        try:
+            process.terminate()
+        except Exception:
+            pass
+
+
+def reap_worker(process, *, kill: bool = False, grace: float = 1.0) -> int | None:
+    """Collect a worker process and return its exit code.
+
+    With ``kill`` the worker is put down first; a worker still alive
+    after ``grace`` seconds is killed too, so a reaped worker is never
+    left running.
+    """
+    if kill:
+        kill_worker(process)
+    process.join(timeout=grace)
+    if process.is_alive():
+        kill_worker(process)
+        process.join(timeout=1.0)
+    return process.exitcode
 
 
 @runtime_checkable
 class ExecutionBackend(Protocol):
-    """Anything that can map a picklable task over items, in order."""
+    """Anything that can run picklable tasks over items, in order."""
 
     jobs: int
 
@@ -379,6 +425,18 @@ class ExecutionBackend(Protocol):
         self, fn: Callable[[Any], Any], items: Iterable[Any]
     ) -> list[Any]:
         """Apply ``fn`` to every item; results in item order."""
+        ...
+
+    def run_tasks(
+        self, fn: Callable[[Any], Any], items: Iterable[Any], **options: Any
+    ) -> list[TaskOutcome]:
+        """Run every item under a :class:`FaultPolicy` (keywords
+        ``policy``, ``labels``, ``fault_plan``, ``strict``,
+        ``on_outcome``); one :class:`TaskOutcome` per item, in order."""
+        ...
+
+    def close(self) -> None:
+        """Release whatever the backend holds between calls."""
         ...
 
 
@@ -421,60 +479,129 @@ class SerialBackend:
         return "SerialBackend()"
 
 
+def _pool_worker(worker_id: int, generation: int, task_queue, results) -> None:
+    """Pool worker: run one fault-wrapped task at a time until ``None``.
+
+    A task is ``((fn, item, fault, attempt, True), label, capture)``; the
+    inner tuple is exactly what :func:`~repro.sim.faults.run_with_fault`
+    expects.  With ``capture`` set (the parent's tracer was on at
+    dispatch) the task runs under an isolated tracer whose snapshot
+    ships back with the value.  Replies go on this worker's own pipe,
+    whose ``send`` pickles here, so a value that cannot cross the process
+    boundary comes back as the task's own exception instead of vanishing.
+    """
+    for inner, label, capture in iter(task_queue.get, None):
+        try:
+            if capture:
+                with capture_tracer() as tracer:
+                    with tracer.span(
+                        "task", label=label, attempt=inner[3], worker=os.getpid()
+                    ):
+                        value = run_with_fault(inner)
+                    reply = (True, (value, tracer.snapshot()))
+            else:
+                reply = (True, (run_with_fault(inner), None))
+        except Exception as exc:
+            reply = (False, exc)
+        try:
+            results.send(reply)
+        except Exception as exc:
+            results.send((False, exc))
+
+
+class _Seat:
+    """One pool worker process and the one task it holds."""
+
+    __slots__ = (
+        "worker_id", "generation", "process", "tasks", "results", "state", "deadline"
+    )
+
+    def __init__(self, worker_id: int) -> None:
+        self.worker_id = worker_id
+        self.generation = 0
+        self.process = None
+        self.tasks = None
+        self.results = None
+        self.state: _TaskState | None = None
+        self.deadline: float | None = None
+
+    def dispatch(
+        self, context, fn: Callable[[Any], Any], state: _TaskState,
+        timeout: float | None, capture: bool,
+    ) -> None:
+        if self.process is not None and not self.process.is_alive():
+            self.put_down(kill=True)  # died idle: charge it to no task
+        if self.process is None:
+            self.generation += 1
+            self.results, writer = context.Pipe(duplex=False)
+            # Not daemonic: a daemonic process may not start children,
+            # and a cell's own intra-run pool starts workers inside it.
+            self.process, self.tasks = spawn_worker(
+                context, _pool_worker, self.worker_id, self.generation, writer,
+                name=f"pka-pool-{self.worker_id}", daemon=False,
+            )
+            writer.close()
+        self.state = state
+        self.deadline = None if timeout is None else time.monotonic() + timeout
+        self.tasks.put(
+            ((fn, state.item, state.fault, state.attempt, True), state.label, capture)
+        )
+
+    def poll(self, ready: set, now: float) -> tuple[str, Any] | None:
+        """What became of the held task: None while it runs inside its
+        deadline, else ``("ok", (value, obs))``, ``("error", exc)``,
+        ``("crash", None)`` or ``("timeout", None)``.  A crashed or
+        overdue worker is put down here."""
+        if self.results in ready:
+            try:
+                ok, payload = self.results.recv()
+            except (EOFError, OSError):
+                status, payload = "crash", None  # died before replying
+            except Exception as exc:  # the reply did not unpickle
+                status, payload = "error", exc
+            else:
+                status = "ok" if ok else "error"
+        elif self.process.sentinel in ready:
+            status, payload = "crash", None
+        elif self.deadline is not None and now >= self.deadline:
+            status, payload = "timeout", None
+        else:
+            return None
+        if status in ("crash", "timeout"):
+            self.put_down(kill=True)
+        return status, payload
+
+    def put_down(self, *, kill: bool) -> None:
+        """Collect this seat's worker; the next dispatch starts a fresh one."""
+        if not kill:
+            self.tasks.put(None)
+        reap_worker(self.process, kill=kill)
+        self.results.close()
+        self.tasks.close()
+        self.process = self.tasks = self.results = None
+
+
 class ProcessPoolBackend:
     """Process-pool fan-out with a deterministic, order-preserving reduce.
 
-    Tasks are submitted in item order and results gathered in the same
-    order regardless of completion order, so any reduction the caller
-    performs over the returned list happens exactly as it would have
-    serially.  If several workers fail, the exception of the
-    *earliest-submitted* failing task is raised — again independent of
-    scheduling — and it carries the worker's original type and message.
-    Pool-infrastructure failures are re-raised as :mod:`repro.errors`
-    types at this boundary: a dead worker surfaces as
-    :class:`~repro.errors.WorkerCrashError` naming the task that killed
-    it (isolated by re-running the broken round at single-task
-    granularity), a blown deadline as
-    :class:`~repro.errors.TaskTimeoutError`.
+    Results are gathered in item order regardless of completion order,
+    so any reduction the caller performs over the returned list happens
+    exactly as it would have serially.  If several tasks fail, the
+    exception of the *earliest-submitted* failing task is raised — again
+    independent of scheduling — and it carries the worker's original
+    type and message.  Worker-process failures are re-raised as
+    :mod:`repro.errors` types at this boundary: a dead worker surfaces as
+    :class:`~repro.errors.WorkerCrashError` naming the task it held, a
+    blown deadline as :class:`~repro.errors.TaskTimeoutError`.
     """
 
-    def __init__(self, jobs: int | None = None, *, persistent: bool = False) -> None:
+    def __init__(self, jobs: int | None = None) -> None:
         if jobs is not None and jobs < 1:
             raise ConfigurationError("jobs must be >= 1 (or None for auto)")
         self.jobs = jobs if jobs is not None else auto_worker_count()
-        #: With ``persistent=True`` one executor (and its warm workers,
-        #: with their per-process simulator/harness caches) is kept alive
-        #: across ``run_tasks`` calls instead of being rebuilt per round —
-        #: what a long-lived server wants.  The pool is discarded and
-        #: lazily rebuilt after a worker crash or a timeout kill, since a
-        #: broken executor cannot be reused.  Call :meth:`close` when done.
-        self.persistent = persistent
-        self._pool: ProcessPoolExecutor | None = None
-
-    def _acquire_pool(self, workers: int) -> tuple[ProcessPoolExecutor, bool]:
-        """The executor for one round, and whether it is round-scoped."""
-        if not self.persistent:
-            return (
-                ProcessPoolExecutor(
-                    max_workers=workers, mp_context=self._context()
-                ),
-                True,
-            )
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.jobs, mp_context=self._context()
-            )
-            obs_count("backend.pool_starts")
-        return self._pool, False
-
-    def _discard_pool(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
 
     def close(self) -> None:
-        """Shut down the persistent pool (no-op in round-scoped mode)."""
-        self._discard_pool()
+        """Nothing to release: workers live only inside ``run_tasks``."""
 
     def map_tasks(
         self, fn: Callable[[Any], Any], items: Iterable[Any]
@@ -482,7 +609,7 @@ class ProcessPoolBackend:
         work = list(items)
         if len(work) <= 1 or self.jobs == 1:
             # Nothing to fan out; run inline (identical semantics, no
-            # pool startup cost).
+            # worker startup cost).
             return [fn(item) for item in work]
         results = []
         for outcome in self.run_tasks(fn, work, policy=FAIL_FAST):
@@ -502,203 +629,83 @@ class ProcessPoolBackend:
         strict: bool = False,
         on_outcome: Callable[[TaskOutcome], None] | None = None,
     ) -> list[TaskOutcome]:
-        """Fault-tolerant fan-out: retries, timeouts, crash isolation.
+        """Fault-tolerant fan-out: retries, timeouts, crash attribution.
 
-        Pending tasks run in rounds.  A round that loses a worker
-        (``BrokenProcessPool``) cannot tell which of its in-flight tasks
-        was responsible, so the unresolved tasks are re-run one per pool
-        — the poison task identifies itself by crashing alone, is
-        charged the attempt, and every bystander completes unharmed.
-        Tasks still running at the policy deadline have their workers
-        terminated and are charged a timeout.  Charged tasks retry with
-        deterministic backoff until the policy quarantines them.
+        Starts ``min(jobs, len(items))`` workers and keeps at most one
+        task on each.  A worker that dies is charged to the task it held
+        (a crash); a task still running ``timeout_seconds`` after its
+        dispatch has its worker killed and is charged a timeout; a dead
+        or killed worker is replaced at its seat's next dispatch.  A
+        charged task is queued again after its deterministic backoff
+        until the policy quarantines it; every other task runs once.
+        ``on_outcome`` sees each task's outcome as soon as it is decided.
+        Every worker is collected before this returns or raises.
         """
         policy = policy or FAIL_FAST
         work = list(items)
-        names = _labels_for(work, labels)
         if len(work) <= 1 or self.jobs == 1:
             return _run_tasks_inline(
-                fn, work, policy, names, fault_plan, strict, on_outcome
+                fn, work, policy, labels, fault_plan, strict, on_outcome
             )
-        states = [
-            _TaskState(index, item, names[index])
-            for index, item in enumerate(work)
-        ]
-        pending: list[_TaskState] = list(states)
-        isolation: list[_TaskState] = []
-        while pending or isolation:
-            if isolation:
-                # A broken round with several unresolved tasks: re-run
-                # them at single-task granularity to find the poison.
-                batch, isolation = [isolation[0]], isolation[1:]
-            else:
-                batch, pending = pending, []
-            statuses = self._run_round(fn, batch, policy, fault_plan)
-            for state, (status, payload) in zip(batch, statuses, strict=True):
-                if status == "ok":
-                    value, shipped = payload
-                    if shipped is not None:
-                        get_tracer().merge(shipped)
-                    state.outcome = TaskOutcome(
-                        state.index, state.label, value=value, obs=shipped
-                    )
-                    if on_outcome is not None:
-                        on_outcome(state.outcome)
-                    continue
-                if status == "suspect":
-                    isolation.append(state)  # uncharged: maybe innocent
-                    continue
-                if status == "requeue":
-                    pending.append(state)  # uncharged teardown victim
-                    continue
-                kind = status  # "error" | "crash" | "timeout"
-                exc = payload if status == "error" else None
-                kind = _classify(exc) if exc is not None else kind
-                if state.attempt < policy.max_attempts:
-                    time.sleep(policy.backoff_seconds(state.index, state.attempt))
-                    state.attempt += 1
-                    obs_count("tasks.retries")
-                    pending.append(state)
-                    continue
-                obs_count("tasks.quarantined")
-                state.outcome = TaskOutcome(
-                    state.index,
-                    state.label,
-                    failure=_final_failure(state, kind, exc),
-                    exception=exc,
+        states = _task_states(work, labels, policy, fault_plan)
+        outcomes: list[TaskOutcome | None] = [None] * len(states)
+        pending = deque(states)
+        seats = [_Seat(worker_id) for worker_id in range(min(self.jobs, len(work)))]
+        context = worker_context()
+        capture = get_tracer().enabled
+        unresolved = len(states)
+        try:
+            while unresolved:
+                for seat in seats:
+                    if seat.state is None and pending:
+                        seat.dispatch(
+                            context, fn, pending.popleft(),
+                            policy.timeout_seconds, capture,
+                        )
+                busy = [seat for seat in seats if seat.state is not None]
+                deadlines = [s.deadline for s in busy if s.deadline is not None]
+                timeout = (
+                    max(0.0, min(deadlines) - time.monotonic()) if deadlines else None
                 )
-                if on_outcome is not None:
-                    on_outcome(state.outcome)
-        outcomes = sorted(
-            (state.outcome for state in states), key=lambda o: o.index
-        )
+                handles = [seat.results for seat in busy]
+                handles += [seat.process.sentinel for seat in busy]
+                ready = set(wait(handles, timeout))
+                now = time.monotonic()
+                for seat in busy:
+                    event = seat.poll(ready, now)
+                    if event is None:
+                        continue
+                    status, payload = event
+                    state, seat.state = seat.state, None
+                    if status == "ok":
+                        value, shipped = payload
+                        if shipped is not None:
+                            get_tracer().merge(shipped)
+                        outcome = TaskOutcome(
+                            state.index, state.label, value=value, obs=shipped
+                        )
+                    else:
+                        kind = _classify(payload) if status == "error" else status
+                        outcome = _settle(state, policy, kind, payload)
+                        if outcome is None:
+                            pending.append(state)  # retry on a free worker
+                            continue
+                    outcomes[state.index] = outcome
+                    unresolved -= 1
+                    if on_outcome is not None:
+                        on_outcome(outcome)
+        finally:
+            for seat in seats:
+                if seat.process is not None:
+                    seat.put_down(kill=seat.state is not None)
         if strict:
             for outcome in outcomes:
                 if not outcome.ok:
                     _raise_outcome(outcome)
         return outcomes
 
-    def _run_round(
-        self,
-        fn: Callable[[Any], Any],
-        states: Sequence[_TaskState],
-        policy: FaultPolicy,
-        fault_plan: FaultPlan | None,
-    ) -> list[tuple[str, Any]]:
-        """One pool lifetime over ``states``.
-
-        Returns, per state and in state order, one of ``("ok", value)``,
-        ``("error", exception)``, ``("timeout", None)`` (the task's own
-        deadline expired), ``("crash", None)`` (exactly one unresolved
-        task in a broken pool — it is the culprit), ``("suspect", None)``
-        (several unresolved tasks in a broken pool; the caller must
-        isolate) or ``("requeue", None)`` (an innocent task torn down
-        with the pool when a *different* task hung; re-run uncharged).
-
-        The timeout clock for each task starts when its future is first
-        *observed executing* — not at submission — so queueing behind a
-        full pool never counts against a task's budget and a large
-        batch cannot mass-expire.  ``Future.running()`` alone is not
-        that signal: the pool flips it when a work item enters the call
-        queue, which buffers one item beyond the worker count.  Worker
-        pickup is FIFO, however, so the futures actually on a worker are
-        always the earliest ``max_workers`` unfinished ones in
-        submission order; only those can start their clocks.
-        Observation happens on a polling loop, so enforcement lags the
-        true deadline by at most one poll interval.
-        """
-        workers = min(self.jobs, len(states))
-        pool, round_scoped = self._acquire_pool(workers)
-        results: dict[int, tuple[str, Any]] = {}
-        futures: dict[Future, _TaskState] = {}
-        timed_out: set[Future] = set()
-        broken: list[_TaskState] = []
-        capture = get_tracer().enabled
-        try:
-            for state in states:
-                fault = (
-                    fault_plan.resolved(state.index, policy.hang_seconds())
-                    if fault_plan
-                    else None
-                )
-                future = pool.submit(
-                    _observed_pool_task,
-                    (
-                        (fn, state.item, fault, state.attempt, True),
-                        state.label,
-                        capture,
-                    ),
-                )
-                futures[future] = state
-            timeout = policy.timeout_seconds
-            poll = None if timeout is None else max(0.01, min(0.05, timeout / 4))
-            started_at: dict[Future, float] = {}
-            ordered = list(futures)  # submission order
-            unfinished = set(futures)
-            while unfinished:
-                _done, unfinished = wait(unfinished, timeout=poll)
-                if timeout is None:
-                    continue  # single blocking wait already drained
-                now = time.monotonic()
-                executing = [f for f in ordered if not f.done()][:workers]
-                for future in executing:
-                    if future not in started_at and future.running():
-                        started_at[future] = now
-                timed_out = {
-                    future
-                    for future in unfinished
-                    if future in started_at and now - started_at[future] > timeout
-                }
-                if timed_out:
-                    break
-            for future, state in futures.items():
-                if future in timed_out:
-                    results[state.index] = ("timeout", None)
-                elif not future.done():
-                    # Torn down with the pool while another task hung.
-                    results[state.index] = ("requeue", None)
-                elif future.cancelled():
-                    broken.append(state)
-                else:
-                    exc = future.exception()
-                    if exc is None:
-                        results[state.index] = ("ok", future.result())
-                    elif isinstance(exc, BrokenExecutor):
-                        broken.append(state)
-                    else:
-                        results[state.index] = ("error", exc)
-            if broken:
-                status = "crash" if len(broken) == 1 else "suspect"
-                for state in broken:
-                    results[state.index] = (status, None)
-        finally:
-            if timed_out:
-                # Hung workers never return; kill them so shutdown's
-                # join is immediate instead of waiting out the hang.
-                for process in list(getattr(pool, "_processes", {}).values()):
-                    try:
-                        process.terminate()
-                    except OSError:
-                        pass
-            if round_scoped:
-                pool.shutdown(wait=True, cancel_futures=True)
-            elif timed_out or broken:
-                # A persistent pool that lost workers (crash) or had them
-                # terminated (hang) is unusable; discard it so the next
-                # round lazily builds a fresh one.
-                self._discard_pool()
-        return [results[state.index] for state in states]
-
-    @staticmethod
-    def _context():
-        # Fork is the fast path and inherits loaded modules; fall back to
-        # the platform default where fork is unavailable (e.g. Windows).
-        methods = multiprocessing.get_all_start_methods()
-        return multiprocessing.get_context("fork" if "fork" in methods else None)
-
     def __repr__(self) -> str:
-        suffix = ", persistent=True" if self.persistent else ""
-        return f"ProcessPoolBackend(jobs={self.jobs}{suffix})"
+        return f"ProcessPoolBackend(jobs={self.jobs})"
 
 
 def resolve_backend(

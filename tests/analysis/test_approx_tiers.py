@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.persistence import CacheDegradedWarning, NullRunCache, RunCache
 from repro.analysis.semcache import SemanticCache, SemanticCacheConfig
+from repro import approx
 from repro.approx import ObservedError
 from repro.gpu.architectures import VOLTA_V100
 from repro.predict import PredictConfig, PredictTiers, price_app
@@ -162,6 +163,31 @@ class TestSharedLedger:
                     np.mean(errors), rel=1e-12
                 )
                 assert observed["observed_max"] == max(errors)
+
+    def test_remembered_answers_are_capped_oldest_first(self, kind, monkeypatch):
+        monkeypatch.setattr(approx, "MAX_PREDICTIONS", 2)
+        cls, config, method = TIERS[kind]
+        tier = cls(config, NullRunCache(), CONTEXT)
+        context = dict(method=method, gpu=VOLTA_V100, model_error=MODEL_ERROR)
+        launches, result, truths = _ground_truth("atax", method, 1.0)
+        tier.observe(
+            workload="atax", launches=launches, digest="atax", result=result,
+            kernel_cycles=truths, **context,
+        )
+        launches, result, truths = _ground_truth("atax~nd1", method, 1.0)
+        for copy in range(4):
+            answer = tier.consult(
+                workload="atax~nd1", launches=launches, digest=f"d{copy}", **context
+            )
+            assert answer is not None
+        assert list(tier._predictions) == ["d2", "d3"]
+        # A ground truth landing on a dropped answer records no error.
+        tier.observe(
+            workload="atax~nd1", launches=launches, digest="d0", result=result,
+            kernel_cycles=truths, **context,
+        )
+        assert tier.observed.samples == 0
+        _assert_ledger(tier)
 
     def test_unserved_method_bypasses_the_ledger(self, kind):
         cls, config, _method = TIERS[kind]

@@ -368,6 +368,14 @@ def test_corrupt_manifest_reads_as_missing(tmp_path):
     assert cache.get_manifest("abc123") is None
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", "7", '"manifest"', "null"])
+def test_non_object_manifest_reads_as_missing(tmp_path, text):
+    cache = RunCache(tmp_path)
+    (tmp_path / "manifests").mkdir()
+    (tmp_path / "manifests" / "s1.json").write_text(text, encoding="utf-8")
+    assert cache.get_manifest("s1") is None
+
+
 def test_null_cache_swallows_manifests():
     null = NullRunCache()
     null.put_manifest("abc123", {"sweep_id": "abc123"})

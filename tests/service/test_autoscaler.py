@@ -19,6 +19,7 @@ import pytest
 from repro import obs
 from repro.analysis.harness import EvaluationHarness
 from repro.errors import DeadlineUnattainableError, QueueFullError
+from repro.sim.parallel import FaultPolicy
 from repro.service import (
     Autoscaler,
     AutoscalerConfig,
@@ -359,10 +360,12 @@ class TestElasticPool:
     def test_drain_deadline_falls_back_to_redispatch(self, tmp_path):
         """A draining worker that cannot finish in time is reaped through
         the crash-recovery path: its job re-dispatches and completes."""
-        harness = EvaluationHarness(backend="serial", cache_dir=tmp_path / "cache")
-        supervisor = WorkerSupervisor(
-            harness, workers=2, heartbeat_interval=0.1, redispatch_budget=2
+        harness = EvaluationHarness(
+            backend="serial",
+            cache_dir=tmp_path / "cache",
+            fault_policy=FaultPolicy(max_retries=2),
         )
+        supervisor = WorkerSupervisor(harness, workers=2, heartbeat_interval=0.1)
         scheduler = Scheduler(harness, supervisor=supervisor)
         scheduler.start()
         try:

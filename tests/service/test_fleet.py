@@ -25,6 +25,7 @@ from repro import obs
 from repro.analysis.harness import EvaluationHarness
 from repro.analysis.persistence import dump_run
 from repro.errors import WorkersUnavailableError
+from repro.sim.parallel import FaultPolicy
 from repro.service import (
     JobJournal,
     JobRequest,
@@ -106,10 +107,12 @@ class TestWorkerCrashRecovery:
     def test_transient_crash_kills_worker_then_completes(self, tmp_path):
         """A ``crash`` fault SIGKILLs the worker running it; the
         supervisor re-dispatches the job and it finishes elsewhere."""
-        harness = EvaluationHarness(backend="serial", cache_dir=tmp_path / "cache")
-        supervisor = WorkerSupervisor(
-            harness, workers=2, heartbeat_interval=0.1, redispatch_budget=2
+        harness = EvaluationHarness(
+            backend="serial",
+            cache_dir=tmp_path / "cache",
+            fault_policy=FaultPolicy(max_retries=2),
         )
+        supervisor = WorkerSupervisor(harness, workers=2, heartbeat_interval=0.1)
         scheduler = Scheduler(harness, supervisor=supervisor)
         scheduler.start()
         try:
@@ -129,10 +132,12 @@ class TestWorkerCrashRecovery:
     def test_poison_job_quarantined_within_budget(self, tmp_path):
         """A persistently crashing job must not crash-loop the fleet: it
         is failed with typed evidence after budget+1 worker kills."""
-        harness = EvaluationHarness(backend="serial", cache_dir=tmp_path / "cache")
-        supervisor = WorkerSupervisor(
-            harness, workers=2, heartbeat_interval=0.1, redispatch_budget=1
+        harness = EvaluationHarness(
+            backend="serial",
+            cache_dir=tmp_path / "cache",
+            fault_policy=FaultPolicy(max_retries=1),
         )
+        supervisor = WorkerSupervisor(harness, workers=2, heartbeat_interval=0.1)
         scheduler = Scheduler(harness, supervisor=supervisor)
         scheduler.start()
         try:
@@ -157,6 +162,30 @@ class TestWorkerCrashRecovery:
             assert healthy.state == "done"
             counters = obs.get_tracer().counters
             assert counters["service.jobs_quarantined"] == 1
+        finally:
+            scheduler.close()
+
+    def test_workers_run_under_the_coordinators_fault_policy(self, tmp_path):
+        """With no retries an injected exception fails the job in a
+        worker exactly as it does in process, and ``/metricsz`` reports
+        that policy's budget."""
+        harness = EvaluationHarness(
+            backend="serial",
+            cache_dir=tmp_path / "cache",
+            fault_policy=FaultPolicy(max_retries=0),
+        )
+        supervisor = WorkerSupervisor(harness, workers=1, heartbeat_interval=0.1)
+        scheduler = Scheduler(harness, supervisor=supervisor)
+        scheduler.start()
+        try:
+            record, _ = scheduler.submit(
+                JobRequest(workload=WORKLOAD, method="silicon", fault="exception")
+            )
+            _wait_terminal(record)
+            assert record.state == "failed"
+            assert record.error["kind"] == "exception"
+            assert record.error["error_type"] == "FaultInjectedError"
+            assert supervisor.snapshot()["redispatch_budget"] == 0
         finally:
             scheduler.close()
 

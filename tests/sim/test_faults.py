@@ -15,6 +15,9 @@ plan/policy unit tests are plain tier-1.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
 import time
 
 import pytest
@@ -55,6 +58,20 @@ def _double(item: int) -> int:
 def _slow_double(item: int) -> int:
     time.sleep(0.6)
     return item * 2
+
+
+def _counted_double(payload: tuple) -> int:
+    """Mark one run of task ``index`` in its marker file, then work a
+    little, so bystanders are in flight when a poison task strikes."""
+    directory, index = payload
+    with open(os.path.join(directory, f"task-{index}"), "a") as marker:
+        marker.write("x")
+    time.sleep(0.1)
+    return index * 2
+
+
+def _unpicklable_on_3(item: int):
+    return threading.Lock() if item == 3 else item * 2
 
 
 # -- InjectedFault / FaultPlan construction ----------------------------------
@@ -403,3 +420,56 @@ def test_pool_equals_serial_under_mixed_chaos():
 
     assert shape(pooled) == shape(serial)
     assert [o.ok for o in serial] == [True, True, False, True, False, True]
+
+
+@pytest.mark.faults
+@pytest.mark.parametrize("spec", ["crash@2xP", "hang@1xP"])
+def test_pool_runs_every_bystander_exactly_once(spec, tmp_path):
+    """Each worker holds one task, so a dead or overdue worker is charged
+    to the task it held and no other task's body ever runs twice."""
+    plan = FaultPlan.parse(spec)
+    (poison,) = plan.faults
+    policy = FaultPolicy(
+        max_retries=1, timeout_seconds=1.0, backoff_base_seconds=0.0
+    )
+    items = [(str(tmp_path), index) for index in range(16)]
+    outcomes = ProcessPoolBackend(2).run_tasks(
+        _counted_double, items, policy=policy, fault_plan=plan
+    )
+    assert [o.index for o in outcomes if not o.ok] == [poison.task_index]
+    assert outcomes[poison.task_index].failure.attempts == 2
+    for index in range(16):
+        if index != poison.task_index:
+            assert outcomes[index].value == index * 2
+            assert (tmp_path / f"task-{index}").read_text() == "x", index
+
+
+@pytest.mark.faults
+def test_pool_unpicklable_result_fails_only_its_task():
+    outcomes = ProcessPoolBackend(2).run_tasks(_unpicklable_on_3, range(6))
+    assert [o.ok for o in outcomes] == [True, True, True, False, True, True]
+    assert outcomes[3].failure.kind == "exception"
+    assert outcomes[3].failure.attempts == 1
+    assert [o.value for o in outcomes if o.ok] == [0, 2, 4, 8, 10]
+
+
+@pytest.mark.faults
+def test_pool_collects_every_worker():
+    """No worker outlives ``run_tasks``: not after a crash and a retry,
+    and not when a strict run raises.  (Compared against the children
+    alive beforehand, so a process another test started is not blamed.)"""
+    before = set(multiprocessing.active_children())
+    backend = ProcessPoolBackend(2)
+    outcomes = backend.run_tasks(
+        _double, range(6), policy=FAST, fault_plan=FaultPlan.parse("crash@1")
+    )
+    assert all(o.ok for o in outcomes)
+    assert set(multiprocessing.active_children()) <= before
+    with pytest.raises(WorkerCrashError):
+        backend.run_tasks(
+            _double,
+            range(6),
+            fault_plan=FaultPlan.parse("crash@1xP"),
+            strict=True,
+        )
+    assert set(multiprocessing.active_children()) <= before
