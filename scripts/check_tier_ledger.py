@@ -1,9 +1,8 @@
-#!/usr/bin/env python
 """Check one approximate tier's answers and ledger in a loadgen report.
 
-Reads the JSON report ``pka loadgen --report`` writes (which embeds the
-server's ``/metricsz`` document) and asserts, for the tier's ``SECTION``
-(``semcache`` or ``predict``):
+:func:`check` reads the report ``pka loadgen --report`` writes (which
+embeds the server's ``/metricsz`` document) and asserts, for the tier's
+``section`` (``semcache`` or ``predict``):
 
 * every submitted job completed without an error or a failure;
 * at least one job was answered by the tier, the server's probe-hit
@@ -15,15 +14,10 @@ server's ``/metricsz`` document) and asserts, for the tier's ``SECTION``
 * for ``semcache``: every transfer was a submit-time probe hit;
 * for ``predict``: no observed prediction exceeded its bound.
 
-Usage: ``python scripts/check_tier_ledger.py REPORT SECTION [--submitted N]``
+``scripts/serve_smoke.py`` runs it on its semcache and predict scenarios.
 """
 
 from __future__ import annotations
-
-import argparse
-import json
-import sys
-from pathlib import Path
 
 #: Per section: the report's answered-job count, the server's probe-hit
 #: counter, the ledger's answer key, the observed-error block, and which
@@ -75,21 +69,3 @@ def check(report: dict, section: str, submitted: int | None) -> str:
         f"ledger reconciles ({ledger['lookups']} lookups = "
         f"{answers} {spec['answers']} + {ledger['escalations']} escalations)"
     )
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("report", type=Path)
-    parser.add_argument("section", choices=sorted(SECTIONS))
-    parser.add_argument(
-        "--submitted", type=int, default=None, metavar="N",
-        help="also assert the replay submitted exactly N jobs",
-    )
-    args = parser.parse_args(argv)
-    report = json.loads(args.report.read_text(encoding="utf-8"))
-    print(check(report, args.section, args.submitted))
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1063,6 +1063,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a Chrome-trace event file to FILE and a JSON run "
         "summary next to it (implies --trace)",
     )
+    # The service's address, shared by the server and its two clients.
+    address = argparse.ArgumentParser(add_help=False)
+    address.add_argument("--host", default="127.0.0.1")
+    address.add_argument(
+        "--port",
+        type=int,
+        default=8471,
+        help="listen port (0 binds an ephemeral port; default 8471)",
+    )
+    client = argparse.ArgumentParser(add_help=False)
+    client.add_argument("--timeout", type=float, default=120.0)
 
     subparsers.add_parser(
         "list", help="list the workload corpus", parents=[common]
@@ -1181,14 +1192,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = subparsers.add_parser(
         "serve",
         help="run the evaluation service (JSON HTTP API over the harness)",
-        parents=[common],
-    )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument(
-        "--port",
-        type=int,
-        default=8471,
-        help="listen port (0 binds an ephemeral port; default 8471)",
+        parents=[common, address],
     )
     serve.add_argument(
         "--max-queue",
@@ -1290,12 +1294,11 @@ def build_parser() -> argparse.ArgumentParser:
     submit = subparsers.add_parser(
         "submit",
         help="submit one job to a running service and wait for the result",
+        parents=[address, client],
     )
     submit.add_argument("workload")
     submit.add_argument("method")
     submit.add_argument("--gpu", default=None)
-    submit.add_argument("--host", default="127.0.0.1")
-    submit.add_argument("--port", type=int, default=8471)
     submit.add_argument("--client", default="cli")
     submit.add_argument("--priority", type=int, default=1)
     submit.add_argument(
@@ -1305,7 +1308,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="chaos passthrough: inject 'exception'/'hang'/'crash' "
         "(append xN or xP for persistent) into this job's execution",
     )
-    submit.add_argument("--timeout", type=float, default=120.0)
     submit.add_argument(
         "--no-wait",
         action="store_true",
@@ -1315,9 +1317,8 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen = subparsers.add_parser(
         "loadgen",
         help="drive a running service with seeded open/closed-loop load",
+        parents=[address, client],
     )
-    loadgen.add_argument("--host", default="127.0.0.1")
-    loadgen.add_argument("--port", type=int, default=8471)
     loadgen.add_argument(
         "--jobs", type=int, default=20, help="number of submissions"
     )
@@ -1375,7 +1376,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help="attach this fault spec to one submission (and its duplicates)",
     )
-    loadgen.add_argument("--timeout", type=float, default=120.0)
     loadgen.add_argument(
         "--chaos",
         default=None,

@@ -327,12 +327,6 @@ class PKPProjection:
         return self.projected_cycles / self.result.cycles
 
     @property
-    def projected_ipc(self) -> float:
-        if self.projected_cycles <= 0:
-            return 0.0
-        return self.projected_instructions / self.projected_cycles
-
-    @property
     def projected_dram_util_fraction(self) -> float:
         """Projected DRAM bytes per cycle (divide by peak for percent)."""
         if self.projected_cycles <= 0:

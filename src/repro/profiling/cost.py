@@ -39,14 +39,6 @@ class TimeLandscape:
     full_simulation_seconds: float
 
     @property
-    def silicon_hours(self) -> float:
-        return self.silicon_seconds / 3600.0
-
-    @property
-    def profiling_hours(self) -> float:
-        return self.detailed_profiling_seconds / 3600.0
-
-    @property
     def simulation_hours(self) -> float:
         return self.full_simulation_seconds / 3600.0
 

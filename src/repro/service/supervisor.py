@@ -31,14 +31,16 @@ service to warm-cache-only mode (see ``Scheduler.submit``); the
 supervisor contributes ``any_alive`` and a next-respawn estimate for
 the 503 ``Retry-After`` header.
 
-Workers exit on their own when the coordinator disappears (they watch
-``getppid``), so a SIGKILLed coordinator does not leak children.  The
-worker processes themselves are started, killed and collected through
-the primitive :mod:`repro.sim.parallel` shares with the process pool.
+Workers are not daemonic, so a cell may start its intra-run pool in one.
+A drain stops them; an ``atexit`` hook kills them if the coordinator
+exits without stopping; after a SIGKILL they (and their pool workers)
+watch ``getppid`` and exit.  They are started, killed and collected
+through the primitive :mod:`repro.sim.parallel` shares with the pool.
 """
 
 from __future__ import annotations
 
+import atexit
 import os
 import queue as queue_mod
 import threading
@@ -287,6 +289,7 @@ class WorkerSupervisor:
         if self.scheduler is None:
             raise RuntimeError("WorkerSupervisor.start() before bind()")
         self._started = True
+        atexit.register(self.stop, kill=True)
         now = time.monotonic()
         with self._lock:
             for slot in self._slots:
@@ -304,6 +307,7 @@ class WorkerSupervisor:
     def stop(self, *, kill: bool = False) -> None:
         """Stop the fleet.  Graceful by default (sentinel + join); with
         ``kill=True`` workers are terminated immediately."""
+        atexit.unregister(self.stop)
         with self._lock:
             self._stop.set()
             self._dispatchable.notify_all()

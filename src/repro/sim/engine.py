@@ -159,10 +159,6 @@ class KernelSimResult:
         """Mean warp IPC over the simulated portion."""
         return self.warp_instructions / self.cycles if self.cycles > 0 else 0.0
 
-    @property
-    def blocks_remaining(self) -> int:
-        return self.launch.grid_blocks - self.blocks_finished
-
 
 def _variation_seed(signature: int, grid: int, chunk: int) -> int:
     """Seed for one ``DURATION_CHUNK_BLOCKS`` chunk of the variation RNG.

@@ -41,6 +41,7 @@ from __future__ import annotations
 import hashlib
 import multiprocessing
 import os
+import queue
 import time
 from collections import deque
 from collections.abc import Callable, Iterable, Sequence
@@ -369,20 +370,20 @@ def spawn_worker(
     generation: int,
     *args: Any,
     name: str,
-    daemon: bool = True,
 ):
     """Start ``target(worker_id, generation, task_queue, *args)``.
 
     Each child gets a fresh task queue of its own, so putting one worker
     down never strands another worker's work.  Returns ``(process,
-    task_queue)``.
+    task_queue)``.  Not daemonic, since a cell's intra-run pool starts
+    processes inside a worker; the owner reaps its workers explicitly.
     """
     task_queue = context.Queue()
     process = context.Process(
         target=target,
         args=(worker_id, generation, task_queue, *args),
         name=name,
-        daemon=daemon,
+        daemon=False,
     )
     process.start()
     return process, task_queue
@@ -479,7 +480,9 @@ class SerialBackend:
         return "SerialBackend()"
 
 
-def _pool_worker(worker_id: int, generation: int, task_queue, results) -> None:
+def _pool_worker(
+    worker_id: int, generation: int, task_queue, results, owner: int
+) -> None:
     """Pool worker: run one fault-wrapped task at a time until ``None``.
 
     A task is ``((fn, item, fault, attempt, True), label, capture)``; the
@@ -489,8 +492,19 @@ def _pool_worker(worker_id: int, generation: int, task_queue, results) -> None:
     ships back with the value.  Replies go on this worker's own pipe,
     whose ``send`` pickles here, so a value that cannot cross the process
     boundary comes back as the task's own exception instead of vanishing.
+    A worker whose ``owner`` process died without reaping it exits once
+    idle.
     """
-    for inner, label, capture in iter(task_queue.get, None):
+    while True:
+        try:
+            task = task_queue.get(timeout=1.0)
+        except queue.Empty:
+            if os.getppid() != owner:
+                return
+            continue
+        if task is None:
+            return
+        inner, label, capture = task
         try:
             if capture:
                 with capture_tracer() as tracer:
@@ -534,11 +548,9 @@ class _Seat:
         if self.process is None:
             self.generation += 1
             self.results, writer = context.Pipe(duplex=False)
-            # Not daemonic: a daemonic process may not start children,
-            # and a cell's own intra-run pool starts workers inside it.
             self.process, self.tasks = spawn_worker(
                 context, _pool_worker, self.worker_id, self.generation, writer,
-                name=f"pka-pool-{self.worker_id}", daemon=False,
+                os.getpid(), name=f"pka-pool-{self.worker_id}",
             )
             writer.close()
         self.state = state

@@ -54,6 +54,39 @@ def _wait_terminal(record, timeout: float = 60.0) -> None:
         time.sleep(0.01)
 
 
+def _pid_alive(pid: int) -> bool:
+    """Whether ``pid`` is a running process (a zombie counts as gone)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
+
+
+def _all_gone(pids, timeout: float = 10.0) -> bool:
+    """Wait up to ``timeout`` for every pid in ``pids`` to exit."""
+    deadline = time.monotonic() + timeout
+    while any(map(_pid_alive, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return not any(map(_pid_alive, pids))
+
+
+def _python(script: str, *args: str) -> subprocess.Popen:
+    """Run ``script`` in a fresh interpreter on this checkout's sources;
+    its stdout is a text pipe."""
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+    env["PYTHONPATH"] = os.path.join(root, "src")
+    return subprocess.Popen(
+        [sys.executable, "-c", script, *args],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+    )
+
+
 def _kill_all_workers(supervisor: WorkerSupervisor, timeout: float = 10.0) -> None:
     """SIGKILL every live worker until none remain (defeats respawn races
     by re-checking liveness under the supervisor's own lock)."""
@@ -188,6 +221,91 @@ class TestWorkerCrashRecovery:
             assert supervisor.snapshot()["redispatch_budget"] == 0
         finally:
             scheduler.close()
+
+
+class TestWorkerLifetime:
+    """Fleet workers are not daemonic, so a cell can start its own
+    intra-run pool inside one; no exit of the coordinator leaves a
+    worker running."""
+
+    def test_intra_run_pool_runs_inside_a_fleet_worker(self):
+        """A full run big enough to shard starts a process pool inside
+        the worker (a daemonic worker could not) and matches serial."""
+        harness = EvaluationHarness(backend="serial", intra_jobs=2)
+        supervisor = WorkerSupervisor(harness, workers=1)
+        scheduler = Scheduler(harness, supervisor=supervisor)
+        scheduler.start()
+        try:
+            record, _ = scheduler.submit(
+                JobRequest(workload="fdtd2d", method="full_sim")
+            )
+            _wait_terminal(record)
+            assert record.state == "done", record.error
+            serial = EvaluationHarness(backend="serial").evaluation("fdtd2d")
+            assert dump_run(record.result) == dump_run(serial.full_sim())
+        finally:
+            scheduler.close()
+
+    def test_drain_reaps_every_worker(self):
+        service = PKAService(EvaluationHarness(backend="serial"), port=0, workers=2)
+        service.start()
+        pids = [slot["pid"] for slot in service.supervisor.snapshot()["slots"]]
+        _manifest, clean = service.drain(timeout=10.0)
+        assert clean
+        assert _all_gone(pids, timeout=0.0)
+
+    @pytest.mark.parametrize("exit_by", ["exception", "sigkill"])
+    def test_no_worker_outlives_its_coordinator(self, exit_by):
+        """An exception escaping the serve loop before ``close()`` runs
+        the supervisor's atexit hook; a SIGKILL runs nothing, so the
+        worker's own parent watch must end it."""
+        script = (
+            "import sys, time\n"
+            "from repro.analysis.harness import EvaluationHarness\n"
+            "from repro.service import PKAService\n"
+            "service = PKAService(EvaluationHarness(backend='serial'),"
+            " port=0, workers=1)\n"
+            "service.start()\n"
+            "print(service.supervisor.snapshot()['slots'][0]['pid'], flush=True)\n"
+            "if sys.argv[1] == 'exception':\n"
+            "    raise RuntimeError('escaped before close()')\n"
+            "time.sleep(60)\n"
+        )
+        with _python(script, exit_by) as proc:
+            worker_pid = int(proc.stdout.readline())
+            if exit_by == "sigkill":
+                proc.kill()
+            try:
+                # Without the hook the interpreter would wait on the
+                # worker at exit forever.
+                assert proc.wait(timeout=30) != 0
+            finally:
+                proc.kill()
+        assert _all_gone([worker_pid])
+
+    def test_pool_workers_outlive_no_dead_owner(self):
+        """A process pool's workers exit once idle when their owner (a
+        fleet worker put down mid-cell, say) dies without reaping them."""
+        script = (
+            "import multiprocessing, os, threading, time\n"
+            "from repro.sim.parallel import ProcessPoolBackend\n"
+            "def die():\n"
+            "    while len(multiprocessing.active_children()) < 2:\n"
+            "        time.sleep(0.01)\n"
+            "    print(*[p.pid for p in multiprocessing.active_children()],"
+            " flush=True)\n"
+            "    os._exit(0)\n"
+            "threading.Thread(target=die, daemon=True).start()\n"
+            "ProcessPoolBackend(2).map_tasks(time.sleep, [0.3, 0.3])\n"
+        )
+        with _python(script) as proc:
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+        assert len(pids) == 2, pids
+        try:
+            assert _all_gone(pids)
+        finally:
+            for pid in filter(_pid_alive, pids):
+                os.kill(pid, signal.SIGKILL)
 
 
 class TestEventDrivenDispatch:
