@@ -46,7 +46,12 @@ from repro.analysis.semcache import (
 from repro.approx import ApproxTier
 from repro.predict import PredictConfig, PredictTiers, PredictedResult
 from repro.baselines.first_n import run_first_n_instructions
-from repro.baselines.tbpoint import TBPointSelection, select_tbpoint, simulate_tbpoint
+from repro.baselines.tbpoint import (
+    TBPOINT_CAPACITY,
+    TBPointSelection,
+    select_tbpoint,
+    simulate_tbpoint,
+)
 from repro.core.config import PKAConfig
 from repro.core.pka import KernelSelection, PrincipalKernelAnalysis
 from repro.core.validation import resolve_mode
@@ -75,20 +80,6 @@ __all__ = ["CellFailure", "WorkloadEvaluation", "EvaluationHarness"]
 #: Sweep-manifest key (and ``harness.cells_<key>`` counter) of the cells
 #: each approximate tier answered.
 _APPROX_ANSWERS = (("transferred", TransferResult), ("predicted", PredictedResult))
-
-#: Methods evaluate_cells understands, and whether they take a GPU.
-_CELL_METHODS = (
-    "silicon",
-    "pks_silicon",
-    "selection",
-    "full_sim",
-    "pks_sim",
-    "pka_sim",
-    "pka_sim_faithful",
-    "first_1b",
-    "tbpoint_sim",
-)
-
 
 @dataclass(frozen=True)
 class CellFailure:
@@ -192,36 +183,34 @@ class WorkloadEvaluation:
         return f"no_{gpu.generation}" not in self.spec.quirks
 
     def _memoized_run(
-        self,
-        key: RunKey,
-        gpu: GPUConfig | None,
-        generations: tuple[str, ...],
-        compute: Callable[[], AppRunResult | None],
-    ) -> AppRunResult | None:
+        self, key: RunKey, gpu: GPUConfig | None, entry: _CellMethod
+    ):
         """Memory -> disk -> compute, storing the result in both layers.
 
-        ``None`` results (the workload cannot run this cell) are
-        memoized in memory only: they are trivial to re-derive and must
-        not occupy the persistent store.
+        ``None`` results (the cell does not apply) are memoized in
+        memory only: they are trivial to re-derive and must not occupy
+        the persistent store.
 
         A digest miss consults the enabled approximate tiers in order
         (semantic cache, then prediction) before computing.  An
         approximate answer is memoized **in memory only** — never
-        written through ``put_run`` — so the exact digest cache can
-        never be poisoned by it; a computed result is additionally
-        *observed* by every tier so it can price future answers.
+        written to the run cache — so the exact digest cache can never
+        be poisoned by it; a computed result is additionally *observed*
+        by every tier so it can price future answers.
         """
         if key in self._cache:
             obs_count("harness.memo_hits")
-            return self._cache[key]  # type: ignore[return-value]
+            return self._cache[key]
+        harness = self.harness
         with obs_span(
             "harness.cell", cell=cell_label(self.spec.name, key.method, key.gpu)
         ) as span:
-            digest = self.harness._cell_digest(self, key, gpu, generations)
-            result = self.harness.run_cache.get_run(digest)
+            digest = harness._cell_digest(self, key, entry, gpu)
+            get, put = harness.cell_store(key.method)
+            result = get(digest)
             if result is None:
-                for tier in self.harness.approx_tiers:
-                    answer = self.harness._approx_consult(
+                for tier in harness.approx_tiers:
+                    answer = harness._approx_consult(
                         tier, self, key.method, gpu, digest
                     )
                     if answer is not None:
@@ -229,18 +218,22 @@ class WorkloadEvaluation:
                         self._cache[key] = answer
                         return answer
                 span.set(source="computed")
-                result = compute()
+                if entry.applies(self, gpu):
+                    result = entry.compute(self, gpu)
                 if result is not None:
-                    self.harness.run_cache.put_run(digest, result)
-                    self.harness._approx_observe(
-                        self, key.method, gpu, digest, result
-                    )
+                    put(digest, result)
+                    harness._approx_observe(self, key.method, gpu, digest, result)
             else:
                 span.set(source="disk_cache")
         self._cache[key] = result
         return result
 
-    # -- silicon --------------------------------------------------------
+    def cell(self, method: str, gpu: GPUConfig | None = None):
+        """One named cell (see :data:`_CELL_TABLE`), memoized."""
+        entry, target, key = _resolve_cell(method, gpu)
+        return self._memoized_run(key, target, entry)
+
+    # -- named cells ------------------------------------------------------
 
     def silicon(self, generation: str = "volta") -> AppRunResult | None:
         """Full-application silicon truth on one GPU generation."""
@@ -248,126 +241,31 @@ class WorkloadEvaluation:
 
     def silicon_on(self, gpu: GPUConfig) -> AppRunResult | None:
         """Silicon truth on an arbitrary GPU config (e.g. half-SM V100)."""
-        key = RunKey("silicon", gpu.name)
-
-        def compute() -> AppRunResult | None:
-            if not self.runs_on(gpu):
-                return None
-            executor = self.harness.silicon(gpu)
-            return executor.run(self.spec.name, self.launches(gpu.generation))
-
-        return self._memoized_run(key, gpu, (gpu.generation,), compute)
-
-    # -- characterization (always on Volta, per the paper) ---------------
+        return self.cell("silicon", gpu)
 
     def selection(self) -> KernelSelection:
-        key = RunKey("selection")
-        if key in self._cache:
-            obs_count("harness.memo_hits")
-            return self._cache[key]  # type: ignore[return-value]
-        with obs_span(
-            "harness.cell", cell=cell_label(self.spec.name, "selection", None)
-        ) as span:
-            digest = self.harness._cell_digest(self, key, None, ("volta",))
-            selection = self.harness.run_cache.get_selection(digest)
-            if selection is None:
-                span.set(source="computed")
-                selection = self.harness.pka.characterize(
-                    self.spec.name,
-                    self.launches("volta"),
-                    self.harness.silicon(VOLTA_V100),
-                    scale=self.spec.scale,
-                )
-                self.harness.run_cache.put_selection(digest, selection)
-            else:
-                span.set(source="disk_cache")
-        self._cache[key] = selection
-        return selection
+        return self.cell("selection")
 
     def pks_silicon(self, generation: str = "volta") -> AppRunResult | None:
-        """PKS priced on one generation's silicon (Volta-selected kernels)."""
-        gpu = GENERATIONS[generation]
-        key = RunKey("pks_silicon", gpu.name)
-
-        def compute() -> AppRunResult | None:
-            if not self.runs_on(gpu):
-                return None
-            executor = self.harness.silicon(gpu)
-            return self.harness.pka.project_silicon(self.selection(), executor)
-
-        return self._memoized_run(key, gpu, ("volta", generation), compute)
-
-    # -- simulation -----------------------------------------------------
+        return self.cell("pks_silicon", GENERATIONS[generation])
 
     def full_sim(self, gpu: GPUConfig | None = None) -> AppRunResult | None:
-        gpu = gpu if gpu is not None else VOLTA_V100
-        key = RunKey("full_sim", gpu.name)
-
-        def compute() -> AppRunResult | None:
-            if not self.spec.completable or not self.runs_on(gpu):
-                return None
-            simulator = self.harness.simulator(gpu)
-            return simulator.run_full(self.spec.name, self.launches(gpu.generation))
-
-        return self._memoized_run(key, gpu, (gpu.generation,), compute)
+        return self.cell("full_sim", gpu)
 
     def pks_sim(self, gpu: GPUConfig | None = None) -> AppRunResult | None:
-        return self._sampled_sim("pks_sim", use_pkp=False, gpu=gpu)
+        return self.cell("pks_sim", gpu)
 
     def pka_sim(self, gpu: GPUConfig | None = None) -> AppRunResult | None:
-        return self._sampled_sim("pka_sim", use_pkp=True, gpu=gpu)
+        return self.cell("pka_sim", gpu)
 
     def pka_sim_faithful(self) -> AppRunResult | None:
-        """PKA on a *silicon-faithful* simulator (modeling error disabled).
-
-        Its error versus silicon isolates the methodology's own
-        *sampling* error — the decomposition behind the paper's claim
-        that PKA's error stays "close to the baseline simulator".
-        """
-        key = RunKey("pka_sim_faithful", VOLTA_V100.name)
-
-        def compute() -> AppRunResult | None:
-            if "sim_kernel_mismatch" in self.spec.quirks:
-                return None
-            simulator = self.harness.faithful_simulator(VOLTA_V100)
-            return self.harness.pka.simulate(
-                self.selection(), simulator, use_pkp=True
-            )
-
-        return self._memoized_run(key, VOLTA_V100, ("volta",), compute)
-
-    def _sampled_sim(
-        self, label: str, use_pkp: bool, gpu: GPUConfig | None
-    ) -> AppRunResult | None:
-        gpu = gpu if gpu is not None else VOLTA_V100
-        key = RunKey(label, gpu.name)
-
-        def compute() -> AppRunResult | None:
-            if "sim_kernel_mismatch" in self.spec.quirks or not self.runs_on(gpu):
-                return None
-            simulator = self.harness.simulator(gpu)
-            return self.harness.pka.simulate(
-                self.selection(), simulator, use_pkp=use_pkp
-            )
-
-        return self._memoized_run(key, gpu, ("volta", gpu.generation), compute)
+        return self.cell("pka_sim_faithful")
 
     def first_1b(self, gpu: GPUConfig | None = None) -> AppRunResult | None:
-        gpu = gpu if gpu is not None else VOLTA_V100
-        key = RunKey("first_1b", gpu.name)
+        return self.cell("first_1b", gpu)
 
-        def compute() -> AppRunResult | None:
-            if not self.runs_on(gpu):
-                return None
-            simulator = self.harness.simulator(gpu)
-            return run_first_n_instructions(
-                self.spec.name,
-                self.launches(gpu.generation),
-                simulator,
-                instruction_budget=self.harness.instruction_budget,
-            )
-
-        return self._memoized_run(key, gpu, (gpu.generation,), compute)
+    def tbpoint_sim(self, gpu: GPUConfig | None = None) -> AppRunResult | None:
+        return self.cell("tbpoint_sim", gpu)
 
     def tbpoint_selection(self) -> TBPointSelection | None:
         key = RunKey("tbpoint_selection")
@@ -384,21 +282,6 @@ class WorkloadEvaluation:
                 except ClusteringCapacityError:
                     self._cache[key] = None
         return self._cache[key]  # type: ignore[return-value]
-
-    def tbpoint_sim(self, gpu: GPUConfig | None = None) -> AppRunResult | None:
-        gpu = gpu if gpu is not None else VOLTA_V100
-        key = RunKey("tbpoint_sim", gpu.name)
-
-        def compute() -> AppRunResult | None:
-            selection = self.tbpoint_selection()
-            if selection is None or not self.runs_on(gpu):
-                return None
-            simulator = self.harness.simulator(gpu)
-            return simulate_tbpoint(
-                selection, self.launches(gpu.generation), simulator
-            )
-
-        return self._memoized_run(key, gpu, ("volta", gpu.generation), compute)
 
     # -- cell dispatch ---------------------------------------------------
 
@@ -419,14 +302,11 @@ class WorkloadEvaluation:
         """
         if isinstance(gpu, str):
             gpu = get_gpu(gpu)
-        if method not in _CELL_METHODS:
-            raise ReproError(
-                f"unknown cell method {method!r}; choose one of {_CELL_METHODS}"
-            )
+        entry, target, key = _resolve_cell(method, gpu)
         if strict:
-            return self._dispatch_cell(method, gpu)
+            return self._memoized_run(key, target, entry)
         try:
-            return self._dispatch_cell(method, gpu)
+            return self._memoized_run(key, target, entry)
         except (KeyboardInterrupt, SystemExit):
             raise
         except Exception as exc:
@@ -444,46 +324,156 @@ class WorkloadEvaluation:
                 message=str(exc),
             )
 
-    def _dispatch_cell(self, method: str, gpu: GPUConfig | None):
-        if method == "silicon":
-            return self.silicon_on(gpu if gpu is not None else VOLTA_V100)
-        if method == "pks_silicon":
-            return self.pks_silicon((gpu or VOLTA_V100).generation)
-        if method == "selection":
-            return self.selection()
-        if method == "full_sim":
-            return self.full_sim(gpu)
-        if method == "pks_sim":
-            return self.pks_sim(gpu)
-        if method == "pka_sim":
-            return self.pka_sim(gpu)
-        if method == "pka_sim_faithful":
-            return self.pka_sim_faithful()
-        if method == "first_1b":
-            return self.first_1b(gpu)
-        if method == "tbpoint_sim":
-            return self.tbpoint_sim(gpu)
-        raise ReproError(
-            f"unknown cell method {method!r}; choose one of {_CELL_METHODS}"
-        )
-
     def cell_key(self, method: str, gpu: GPUConfig | str | None = None) -> RunKey:
         """The typed key under which :meth:`compute_cell` memoizes."""
-        if isinstance(gpu, str):
-            gpu = get_gpu(gpu)
-        if method == "selection":
-            return RunKey("selection")
-        if method == "tbpoint_selection":
-            return RunKey("tbpoint_selection")
-        if method == "pka_sim_faithful":
-            return RunKey("pka_sim_faithful", VOLTA_V100.name)
-        if method == "pks_silicon":
-            return RunKey("pks_silicon", GENERATIONS[(gpu or VOLTA_V100).generation].name)
-        if method not in _CELL_METHODS:
-            raise ReproError(
-                f"unknown cell method {method!r}; choose one of {_CELL_METHODS}"
-            )
-        return RunKey(method, (gpu if gpu is not None else VOLTA_V100).name)
+        return _resolve_cell(method, gpu)[2]
+
+
+def _on_target(gpu: GPUConfig | None) -> GPUConfig:
+    return gpu if gpu is not None else VOLTA_V100
+
+
+def _completes(evaluation: WorkloadEvaluation, gpu: GPUConfig) -> bool:
+    return evaluation.spec.completable and evaluation.runs_on(gpu)
+
+
+def _pairs_kernels(evaluation: WorkloadEvaluation, gpu: GPUConfig) -> bool:
+    return "sim_kernel_mismatch" not in evaluation.spec.quirks
+
+
+def _samples(evaluation: WorkloadEvaluation, gpu: GPUConfig) -> bool:
+    return _pairs_kernels(evaluation, gpu) and evaluation.runs_on(gpu)
+
+
+def _tbpoint_fits(evaluation: WorkloadEvaluation, gpu: GPUConfig) -> bool:
+    # A len() of the Volta table: no profiling, no clustering.
+    return (
+        _completes(evaluation, gpu)
+        and len(evaluation.launches("volta")) <= TBPOINT_CAPACITY
+    )
+
+
+def _tbpoint_sim(evaluation: WorkloadEvaluation, gpu: GPUConfig):
+    selection = evaluation.tbpoint_selection()
+    if selection is None:
+        return None
+    return simulate_tbpoint(
+        selection,
+        evaluation.launches(gpu.generation),
+        evaluation.harness.simulator(gpu),
+    )
+
+
+@dataclass(frozen=True)
+class _CellMethod:
+    """How one cell method is keyed, gated and computed.
+
+    ``gpu`` maps the requested GPU (None: the default) to the one the
+    cell runs on, None for a GPU-independent cell.  A cell that
+    ``reads_selection`` consumes a selection made on Volta, so the
+    Volta launch list joins its digest.  ``applies`` is the cheap gate
+    the compute path and the approximate tiers share: a cell that does
+    not apply is None.  ``compute`` runs an applicable cell.
+    """
+
+    gpu: Callable[[GPUConfig | None], GPUConfig | None]
+    reads_selection: bool
+    applies: Callable[[WorkloadEvaluation, GPUConfig | None], bool]
+    compute: Callable[[WorkloadEvaluation, GPUConfig | None], object]
+
+    def generations(self, gpu: GPUConfig | None) -> tuple[str, ...]:
+        """The GPU generations whose launch lists the cell consumes."""
+        volta = ("volta",) if self.reads_selection else ()
+        return volta + ((gpu.generation,) if gpu is not None else ())
+
+
+#: Every cell method: the one place that names a method's GPU, launch
+#: generations, applicability and computation.  Adding a method is one
+#: entry here.
+_CELL_TABLE: dict[str, _CellMethod] = {
+    # Full-application silicon truth.
+    "silicon": _CellMethod(
+        _on_target, False, WorkloadEvaluation.runs_on,
+        lambda ev, gpu: ev.harness.silicon(gpu).run(
+            ev.spec.name, ev.launches(gpu.generation)
+        ),
+    ),
+    # PKS priced on one generation's silicon (Volta-selected kernels).
+    "pks_silicon": _CellMethod(
+        lambda gpu: GENERATIONS[_on_target(gpu).generation],
+        True,
+        WorkloadEvaluation.runs_on,
+        lambda ev, gpu: ev.harness.pka.project_silicon(
+            ev.selection(), ev.harness.silicon(gpu)
+        ),
+    ),
+    # The PKA characterization: always on Volta, per the paper.
+    "selection": _CellMethod(
+        lambda gpu: None, True, lambda ev, gpu: True,
+        lambda ev, gpu: ev.harness.pka.characterize(
+            ev.spec.name,
+            ev.launches("volta"),
+            ev.harness.silicon(VOLTA_V100),
+            scale=ev.spec.scale,
+        ),
+    ),
+    "full_sim": _CellMethod(
+        _on_target, False, _completes,
+        lambda ev, gpu: ev.harness.simulator(gpu).run_full(
+            ev.spec.name, ev.launches(gpu.generation)
+        ),
+    ),
+    "pks_sim": _CellMethod(
+        _on_target, True, _samples,
+        lambda ev, gpu: ev.harness.pka.simulate(
+            ev.selection(), ev.harness.simulator(gpu), use_pkp=False
+        ),
+    ),
+    "pka_sim": _CellMethod(
+        _on_target, True, _samples,
+        lambda ev, gpu: ev.harness.pka.simulate(
+            ev.selection(), ev.harness.simulator(gpu), use_pkp=True
+        ),
+    ),
+    # PKA on a silicon-faithful simulator (modeling error disabled): its
+    # error versus silicon isolates the methodology's own sampling error.
+    "pka_sim_faithful": _CellMethod(
+        lambda gpu: VOLTA_V100, True, _pairs_kernels,
+        lambda ev, gpu: ev.harness.pka.simulate(
+            ev.selection(), ev.harness.faithful_simulator(gpu), use_pkp=True
+        ),
+    ),
+    "first_1b": _CellMethod(
+        _on_target, False, WorkloadEvaluation.runs_on,
+        lambda ev, gpu: run_first_n_instructions(
+            ev.spec.name,
+            ev.launches(gpu.generation),
+            ev.harness.simulator(gpu),
+            instruction_budget=ev.harness.instruction_budget,
+        ),
+    ),
+    "tbpoint_sim": _CellMethod(_on_target, True, _tbpoint_fits, _tbpoint_sim),
+}
+
+
+def _cell_method(method: str) -> _CellMethod:
+    entry = _CELL_TABLE.get(method)
+    if entry is None:
+        raise ReproError(
+            f"unknown cell method {method!r}; choose one of {tuple(_CELL_TABLE)}"
+        )
+    return entry
+
+
+def _resolve_cell(
+    method: str, gpu: GPUConfig | str | None
+) -> tuple[_CellMethod, GPUConfig | None, RunKey]:
+    """A named cell's table entry, target GPU and memo key."""
+    entry = _cell_method(method)
+    if isinstance(gpu, str):
+        gpu = get_gpu(gpu)
+    target = entry.gpu(gpu)
+    return entry, target, RunKey(method, None if target is None else target.name)
 
 
 class EvaluationHarness:
@@ -620,12 +610,36 @@ class EvaluationHarness:
             )
         return self._context_fingerprint
 
+    def worker_spec(self) -> dict:
+        """Constructor keywords that rebuild this harness in a worker process.
+
+        Only portable values cross the process boundary: the cache by
+        its root and the intra-run backend by its str/int spec (a live
+        backend object stays here and workers run intra work serially —
+        the results are bitwise identical either way).  The approximate
+        tiers are the caller's to add: pool workers get their configs,
+        fleet workers run without them.
+        """
+        return {
+            "config": self.pka.config,
+            "model_error": self.model_error,
+            "instruction_budget": self.instruction_budget,
+            "cache_dir": (
+                self.run_cache.root if isinstance(self.run_cache, RunCache) else None
+            ),
+            "validation_mode": self.validation_mode,
+            "intra_jobs": (
+                self.intra_jobs if isinstance(self.intra_jobs, (str, int)) else None
+            ),
+            "fault_policy": self.fault_policy,
+        }
+
     def _cell_digest(
         self,
         evaluation: WorkloadEvaluation,
         key: RunKey,
+        entry: _CellMethod,
         gpu: GPUConfig | None,
-        generations: tuple[str, ...],
     ) -> str:
         """On-disk content address of one evaluation cell."""
         return run_digest(
@@ -633,7 +647,7 @@ class EvaluationHarness:
             workload=evaluation.spec.name,
             launch_digests={
                 generation: evaluation.launch_digest(generation)
-                for generation in sorted(set(generations))
+                for generation in sorted(set(entry.generations(gpu)))
             },
             gpu=gpu,
             context=self.context_fingerprint(),
@@ -651,60 +665,19 @@ class EvaluationHarness:
         anything — at most the workload's launch lists are built once to
         derive their digests, then memoized on the evaluation.
         """
-        evaluation = self.evaluation(workload)
-        if isinstance(gpu, str):
-            gpu = get_gpu(gpu)
-        key = evaluation.cell_key(method, gpu)  # validates the method
-        gpu_cfg, generations = self._cell_geometry(method, gpu)
-        return self._cell_digest(evaluation, key, gpu_cfg, generations)
+        entry, target, key = _resolve_cell(method, gpu)
+        return self._cell_digest(self.evaluation(workload), key, entry, target)
 
-    @staticmethod
-    def _cell_geometry(
-        method: str, gpu: GPUConfig | None
-    ) -> tuple[GPUConfig | None, tuple[str, ...]]:
-        """The (gpu config, launch generations) a named cell consumes.
-
-        One mapping shared by :meth:`cell_digest_for` and the semantic
-        cache's transfer probe, so an external digest and a transfer
-        answer can never be derived from different geometry.
-        """
+    def cell_store(self, method: str) -> tuple[Callable, Callable]:
+        """The run cache's ``(get, put)`` for one method's results: the
+        characterization is stored as a selection, every other cell as
+        a run."""
+        cache = self.run_cache
         if method == "selection":
-            return None, ("volta",)
-        if method == "pka_sim_faithful":
-            return VOLTA_V100, ("volta",)
-        if method == "pks_silicon":
-            gpu_cfg = GENERATIONS[(gpu or VOLTA_V100).generation]
-            return gpu_cfg, ("volta", gpu_cfg.generation)
-        if method in ("silicon", "full_sim", "first_1b"):
-            gpu_cfg = gpu if gpu is not None else VOLTA_V100
-            return gpu_cfg, (gpu_cfg.generation,)
-        # pks_sim / pka_sim / tbpoint_sim: Volta selection + target GPU.
-        gpu_cfg = gpu if gpu is not None else VOLTA_V100
-        return gpu_cfg, ("volta", gpu_cfg.generation)
+            return cache.get_selection, cache.put_selection
+        return cache.get_run, cache.put_run
 
-    # -- semantic cache (similarity transfer) -----------------------------
-
-    def _transfer_viable(
-        self, evaluation: WorkloadEvaluation, method: str, gpu: GPUConfig
-    ) -> bool:
-        """Whether this cell's compute() could return a real run at all.
-
-        A cell whose DES path would return None (workload does not fit
-        the GPU, non-completable full sim, known sim quirks) must not be
-        answered by transfer either — the layers have to agree on what
-        "cannot run" means.
-        """
-        spec = evaluation.spec
-        if not evaluation.runs_on(gpu):
-            return False
-        if method in ("full_sim", "tbpoint_sim") and not spec.completable:
-            return False
-        if (
-            method in ("pks_sim", "pka_sim", "pka_sim_faithful")
-            and "sim_kernel_mismatch" in spec.quirks
-        ):
-            return False
-        return True
+    # -- approximate tiers -------------------------------------------------
 
     @property
     def approx_tiers(self) -> tuple[ApproxTier, ...]:
@@ -720,10 +693,14 @@ class EvaluationHarness:
         gpu: GPUConfig | None,
         digest: str,
     ) -> AppRunResult | None:
-        """One tier's answer for a digest-missed cell, or None."""
+        """One tier's answer for a digest-missed cell, or None.
+
+        A cell that does not apply is never answered: the tiers and the
+        compute path share the table's applicability gate.
+        """
         if gpu is None or method not in tier.config.methods:
             return None
-        if not self._transfer_viable(evaluation, method, gpu):
+        if not _cell_method(method).applies(evaluation, gpu):
             return None
         return tier.consult(
             workload=evaluation.spec.name,
@@ -782,18 +759,13 @@ class EvaluationHarness:
         if tier is None or method not in tier.config.methods:
             return None
         evaluation = self.evaluation(workload)
-        if isinstance(gpu, str):
-            gpu = get_gpu(gpu)
-        key = evaluation.cell_key(method, gpu)
+        entry, target, key = _resolve_cell(method, gpu)
         memoized = evaluation._cache.get(key)
         if memoized is not None:
             # This tier's earlier answer, or a real result other probes serve.
             return memoized if isinstance(memoized, tier.result_type) else None
-        gpu_cfg, generations = self._cell_geometry(method, gpu)
-        if gpu_cfg is None:
-            return None
-        digest = self._cell_digest(evaluation, key, gpu_cfg, generations)
-        result = self._approx_consult(tier, evaluation, method, gpu_cfg, digest)
+        digest = self._cell_digest(evaluation, key, entry, target)
+        result = self._approx_consult(tier, evaluation, method, target, digest)
         if result is not None:
             evaluation._cache[key] = result
         return result
@@ -888,36 +860,12 @@ class EvaluationHarness:
                     in_worker=crash_in_process,
                 )
             else:
-                cache_root = (
-                    self.run_cache.root
-                    if isinstance(self.run_cache, RunCache)
-                    else None
-                )
-                # Only portable intra specs (str/int) cross the process
-                # boundary; a live backend object stays parent-side and
-                # workers fall back to serial intra execution — the
-                # results are bitwise identical either way.
-                intra_spec = (
-                    self.intra_jobs
-                    if isinstance(self.intra_jobs, (str, int))
-                    else None
-                )
-                payloads = [
-                    (
-                        self.pka.config,
-                        self.model_error,
-                        self.instruction_budget,
-                        cache_root,
-                        self.validation_mode,
-                        intra_spec,
-                        *(
-                            tier.config if tier is not None else None
-                            for tier in (self.semcache, self.predict)
-                        ),
-                        cell,
-                    )
-                    for cell in normalized
-                ]
+                # Pool workers run this process's tiers from the shared cache.
+                spec = self.worker_spec()
+                for name in ("semcache", "predict"):
+                    tier = getattr(self, name)
+                    spec[name] = tier.config if tier is not None else None
+                payloads = [(spec, cell) for cell in normalized]
                 outcomes = self.backend.run_tasks(
                     _evaluate_cell_task,
                     payloads,
@@ -1033,39 +981,9 @@ _WORKER_HARNESSES: dict[tuple, EvaluationHarness] = {}
 
 def _evaluate_cell_task(payload: tuple):
     """Worker: compute one evaluation cell with a process-local harness."""
-    (
-        config,
-        model_error,
-        instruction_budget,
-        cache_root,
-        mode,
-        intra_spec,
-        semcache_config,
-        predict_config,
-        cell,
-    ) = payload
-    workload, method, gpu = cell
-    key = (
-        config,
-        model_error,
-        instruction_budget,
-        cache_root,
-        mode,
-        intra_spec,
-        semcache_config,
-        predict_config,
-    )
+    spec, (workload, method, gpu) = payload
+    key = tuple(spec.items())
     harness = _WORKER_HARNESSES.get(key)
     if harness is None:
-        harness = EvaluationHarness(
-            config,
-            model_error,
-            instruction_budget,
-            cache_dir=cache_root,
-            validation_mode=mode,
-            intra_jobs=intra_spec,
-            semcache=semcache_config,
-            predict=predict_config,
-        )
-        _WORKER_HARNESSES[key] = harness
+        harness = _WORKER_HARNESSES[key] = EvaluationHarness(**spec)
     return harness.evaluation(workload).compute_cell(method, gpu)

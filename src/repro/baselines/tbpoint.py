@@ -42,7 +42,12 @@ from repro.sim.perfmodel import KERNEL_LAUNCH_OVERHEAD
 from repro.sim.simulator import Simulator
 from repro.sim.stats import AppRunResult
 
-__all__ = ["TBPointSelection", "select_tbpoint", "simulate_tbpoint"]
+__all__ = [
+    "TBPOINT_CAPACITY", "TBPointSelection", "select_tbpoint", "simulate_tbpoint",
+]
+
+#: The most kernel launches TBPoint's hierarchical clustering accepts.
+TBPOINT_CAPACITY = 20_000
 
 _THRESHOLD_SWEEP = np.linspace(0.01, 0.2, 20)
 
@@ -65,7 +70,7 @@ def select_tbpoint(
     profiles: Sequence[DetailedProfile],
     *,
     target_error: float = 0.05,
-    max_points: int = 20_000,
+    max_points: int = TBPOINT_CAPACITY,
 ) -> TBPointSelection:
     """Cluster kernels TBPoint-style with the 20-threshold sweep.
 

@@ -80,6 +80,9 @@ __all__ = [
     "run_load",
 ]
 
+#: How long the report's final scrape waits for chaos kills to be counted.
+_CHAOS_SETTLE_SECONDS = 10.0
+
 TERMINAL = ("done", "failed", "cancelled")
 
 CHAOS_ACTIONS = ("kill-worker", "kill-coordinator")
@@ -579,8 +582,35 @@ def run_load(
     if chaos_thread is not None:
         chaos_thread.join(timeout=config.timeout)
     report.wall_seconds = time.monotonic() - started
-    try:
-        report.server_metrics = client.metrics()
-    except ServiceError:
-        report.server_metrics = None
+    kills = sum(
+        1
+        for event in report.chaos_events
+        if event.get("action") == "kill-worker" and event.get("ok")
+    )
+    report.server_metrics = _settled_metrics(client, kills)
     return report
+
+
+def _settled_metrics(client: ServiceClient, kills: int) -> dict | None:
+    """The report's ``/metricsz`` scrape, once the fleet counts ``kills``.
+
+    The supervisor notices a SIGKILLed worker on its next monitor poll,
+    so a kill fired just before the load ended can still be missing from
+    an immediate scrape.  Polls for at most :data:`_CHAOS_SETTLE_SECONDS`,
+    and not at all without a fleet (nothing there counts deaths); None
+    when the service cannot be scraped (e.g. its coordinator was killed).
+    """
+    deadline = time.monotonic() + _CHAOS_SETTLE_SECONDS
+    while True:
+        try:
+            metrics = client.metrics()
+        except ServiceError:
+            return None
+        deaths = metrics.get("counters", {}).get("fleet.worker_deaths", 0)
+        if (
+            deaths >= kills
+            or "workers" not in metrics
+            or time.monotonic() >= deadline
+        ):
+            return metrics
+        time.sleep(0.05)

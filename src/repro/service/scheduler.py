@@ -317,9 +317,8 @@ class Scheduler:
 
     def _cached_result(self, record: JobRecord):
         """Re-attach a recovered job's result from the run cache."""
-        if record.request.method == "selection":
-            return self.harness.run_cache.get_selection(record.digest)
-        return self.harness.run_cache.get_run(record.digest)
+        get, _ = self.harness.cell_store(record.request.method)
+        return get(record.digest)
 
     # -- admission control ------------------------------------------------
 
@@ -525,10 +524,8 @@ class Scheduler:
 
     def _probe_cache(self, record: JobRecord, digest: str) -> bool:
         """Complete the job from the on-disk cache if the cell is warm."""
-        if record.request.method == "selection":
-            cached = self.harness.run_cache.get_selection(digest)
-        else:
-            cached = self.harness.run_cache.get_run(digest)
+        get, _ = self.harness.cell_store(record.request.method)
+        cached = get(digest)
         if cached is None:
             return False
         self._journal_event(

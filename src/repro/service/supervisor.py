@@ -50,7 +50,6 @@ from typing import TYPE_CHECKING, Any
 
 from repro.analysis.harness import EvaluationHarness
 from repro.analysis.persistence import (
-    RunCache,
     dump_run,
     dump_selection,
     load_run,
@@ -74,7 +73,7 @@ def _worker_main(
     generation: int,
     task_queue,
     event_queue,
-    harness_args: tuple,
+    harness_spec: dict,
     heartbeat_interval: float,
     parent_pid: int,
 ) -> None:
@@ -87,19 +86,7 @@ def _worker_main(
     kill real workers and exercise the supervisor.  Retries and the
     per-attempt timeout follow the coordinator's fault policy.
     """
-    (
-        config, model_error, instruction_budget, cache_root, mode, intra_spec,
-        fault_policy,
-    ) = harness_args
-    harness = EvaluationHarness(
-        config,
-        model_error,
-        instruction_budget,
-        cache_dir=cache_root,
-        validation_mode=mode,
-        intra_jobs=intra_spec,
-        fault_policy=fault_policy,
-    )
+    harness = EvaluationHarness(**harness_spec)
     stop = threading.Event()
 
     def beat() -> None:
@@ -337,28 +324,6 @@ class WorkerSupervisor:
     # ------------------------------------------------------------------
     # Spawning
 
-    def _harness_args(self) -> tuple:
-        harness = self.harness
-        cache_root = (
-            harness.run_cache.root
-            if isinstance(harness.run_cache, RunCache)
-            else None
-        )
-        intra_spec = (
-            harness.intra_jobs
-            if isinstance(harness.intra_jobs, (str, int))
-            else None
-        )
-        return (
-            harness.pka.config,
-            harness.model_error,
-            harness.instruction_budget,
-            cache_root,
-            harness.validation_mode,
-            intra_spec,
-            harness.fault_policy,
-        )
-
     def _spawn_locked(self, slot: _WorkerSlot, now: float) -> None:
         slot.generation += 1
         slot.last_heartbeat = now
@@ -368,7 +333,7 @@ class WorkerSupervisor:
             slot.worker_id,
             slot.generation,
             self._events,
-            self._harness_args(),
+            self.harness.worker_spec(),
             self.heartbeat_interval,
             os.getpid(),
             name=f"pka-worker-{slot.worker_id}",

@@ -23,6 +23,7 @@ from repro.errors import (
 from repro.gpu import VOLTA_V100, get_gpu
 from repro.sim.faults import FaultPlan
 from repro.sim.parallel import FaultPolicy, ProcessPoolBackend
+from repro.sim.silicon import SiliconExecutor
 
 #: Zero backoff: retry-heavy sweeps should not sleep in tests.
 FAST = FaultPolicy(max_retries=1, backoff_base_seconds=0.0)
@@ -59,9 +60,11 @@ def test_compute_cell_nonstrict_returns_failure_record(monkeypatch):
     harness = EvaluationHarness()
     evaluation = harness.evaluation("fdtd2d")
     monkeypatch.setattr(
-        type(evaluation),
-        "silicon_on",
-        lambda self, gpu: (_ for _ in ()).throw(RuntimeError("blown fuse")),
+        SiliconExecutor,
+        "run",
+        lambda self, *args, **kwargs: (_ for _ in ()).throw(
+            RuntimeError("blown fuse")
+        ),
     )
     result = evaluation.compute_cell("silicon", "volta", strict=False)
     assert isinstance(result, CellFailure)

@@ -9,6 +9,8 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import EvaluationHarness
+from repro.analysis.persistence import RunKey
+from repro.baselines.tbpoint import TBPOINT_CAPACITY
 from repro.gpu import (
     GENERATIONS,
     KernelLaunch,
@@ -16,7 +18,9 @@ from repro.gpu import (
     VOLTA_V100,
     volta_v100_half_sms,
 )
-from repro.workloads import WorkloadSpec
+from repro.workloads import WorkloadSpec, get_workload, register
+from repro.workloads.generator import MIB, LaunchBuilder, compute_spec
+from repro.workloads.spec import _REGISTRY
 
 
 class TestMemoization:
@@ -113,6 +117,73 @@ class TestApplicabilityRules:
         assert "db_conv_train_fp32_0" not in names
         assert "mlperf_ssd_training" not in names
         assert "histo" in names
+
+
+
+def _registered(name: str, launches: int, **spec_fields):
+    """Register a one-kernel synthetic workload; yield its name, then unregister."""
+
+    def build():
+        builder = LaunchBuilder()
+        spec = compute_spec(f"{name}_k", flops=200.0, loads=8.0, working_set=4 * MIB)
+        builder.add(spec, grid_blocks=640, repeat=launches)
+        return builder.table()
+
+    get_workload("fdtd2d")  # force the registry load before registering
+    register(WorkloadSpec(name=name, suite="applicability", builder=build, **spec_fields))
+    try:
+        yield name
+    finally:
+        _REGISTRY.pop(name, None)
+
+
+@pytest.fixture
+def over_tbpoint_capacity():
+    yield from _registered("tbpoint_overfull", TBPOINT_CAPACITY + 1)
+
+
+@pytest.fixture
+def not_on_volta():
+    yield from _registered("not_on_volta", 12, quirks=("no_volta",))
+
+
+def _consults(harness) -> list[str]:
+    """Record the methods the semantic cache is consulted for."""
+    seen: list[str] = []
+    original = harness.semcache.consult
+
+    def consult(**kwargs):
+        seen.append(kwargs["method"])
+        return original(**kwargs)
+
+    harness.semcache.consult = consult
+    return seen
+
+
+class TestOneApplicabilityGate:
+    """The approximate tiers and the compute path share one gate per method."""
+
+    def test_tbpoint_over_capacity_gets_no_tier_answer(self, over_tbpoint_capacity):
+        harness = EvaluationHarness(semcache=True)
+        evaluation = harness.evaluation(over_tbpoint_capacity)
+        assert evaluation.spec.completable
+        consults = _consults(harness)
+        assert harness.transfer_probe(over_tbpoint_capacity, "tbpoint_sim") is None
+        assert evaluation.compute_cell("tbpoint_sim") is None
+        assert consults == []
+        # Refused by a launch count: nothing was profiled or clustered.
+        assert RunKey("tbpoint_selection") not in evaluation._cache
+
+    def test_faithful_pka_gate_ignores_volta_fit(self, not_on_volta):
+        """The silicon-faithful cell runs on the Volta selection whatever
+        the workload's own Volta fit, so the tiers may answer it too."""
+        harness = EvaluationHarness(semcache=True)
+        evaluation = harness.evaluation(not_on_volta)
+        assert not evaluation.runs_on(VOLTA_V100)
+        consults = _consults(harness)
+        assert evaluation.silicon("volta") is None
+        assert evaluation.compute_cell("pka_sim_faithful") is not None
+        assert consults == ["pka_sim_faithful"]
 
 
 class TestCustomGPUs:

@@ -216,6 +216,47 @@ class TestChaosSchedule:
         finally:
             service.close()
 
+    def test_report_scrape_waits_for_the_fleet_to_count_a_kill(self):
+        """A worker killed at the end of the load shows in the report
+        even when the fleet counts its death only on a later scrape."""
+
+        class LateDeathClient:
+            def __init__(self):
+                self.scrapes = 0
+
+            def submit(self, request):
+                return {"job_id": "j1", "created": True}
+
+            def wait(self, job_id, timeout, poll):
+                return {"state": "done", "latency_ms": 1.0}
+
+            def metrics(self):
+                self.scrapes += 1
+                deaths = 1 if self.scrapes >= 3 else 0
+                return {
+                    "counters": {"fleet.worker_deaths": deaths},
+                    "workers": {"slots": []},
+                }
+
+        client = LateDeathClient()
+        config = LoadConfig(
+            jobs=1, mode="closed", concurrency=1, workloads=("gauss_208",),
+            chaos=("kill-worker@0.0",),
+        )
+        report = run_load(
+            client, config,
+            chaos_driver=lambda action: {"action": action, "ok": True},
+        )
+        assert report.server_metrics["counters"]["fleet.worker_deaths"] == 1
+        assert client.scrapes == 3
+        # A failed kill is nothing to wait for: one scrape.
+        client = LateDeathClient()
+        report = run_load(
+            client, config,
+            chaos_driver=lambda action: {"action": action, "ok": False},
+        )
+        assert client.scrapes == 1
+
     def test_default_driver_reports_no_live_workers(self, tmp_path):
         """Against a fleetless service, kill-worker is a recorded no-op,
         not an exception."""
