@@ -25,6 +25,7 @@ what a cold serial run would have computed.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,6 +35,7 @@ from repro.analysis.persistence import (
     RunCache,
     RunKey,
     fingerprint,
+    launch_code_fingerprint,
     launches_digest,
     resolve_run_cache,
     run_digest,
@@ -72,7 +74,12 @@ from repro.sim.parallel import (
 from repro.sim.silicon import SiliconExecutor
 from repro.sim.simulator import ModelErrorConfig, Simulator
 from repro.sim.stats import AppRunResult
-from repro.workloads.spec import WorkloadSpec, get_workload, iter_workloads
+from repro.workloads.spec import (
+    WorkloadSpec,
+    get_workload,
+    is_builtin,
+    iter_workloads,
+)
 from repro.workloads.table import LaunchTable
 
 __all__ = ["CellFailure", "WorkloadEvaluation", "EvaluationHarness"]
@@ -80,6 +87,26 @@ __all__ = ["CellFailure", "WorkloadEvaluation", "EvaluationHarness"]
 #: Sweep-manifest key (and ``harness.cells_<key>`` counter) of the cells
 #: each approximate tier answered.
 _APPROX_ANSWERS = (("transferred", TransferResult), ("predicted", PredictedResult))
+
+#: Run-cache state kind of the launch memo: per built-in workload, each
+#: builder's launch digest and launch count, so a process that finds it
+#: keys the workload's cells without building a launch table.
+LAUNCH_MEMO = "launches"
+
+
+@functools.cache
+def _launch_code() -> str | None:
+    """This package's :func:`launch_code_fingerprint`, once per process."""
+    return launch_code_fingerprint(Path(__file__).resolve().parents[1])
+
+
+def _is_launch_facts(facts) -> bool:
+    return (
+        isinstance(facts, dict)
+        and isinstance(facts.get("digest"), str)
+        and type(facts.get("launches")) is int
+    )
+
 
 @dataclass(frozen=True)
 class CellFailure:
@@ -145,11 +172,15 @@ class WorkloadEvaluation:
 
     spec: WorkloadSpec
     harness: "EvaluationHarness"
-    # Launch tables and their digests, keyed by the builder that made them
-    # (WorkloadSpec.builder_for), so generations that share a builder
+    # Launch tables and their facts ({"digest", "launches"}: digest and
+    # length), keyed by the builder that makes them
+    # (WorkloadSpec.builder_key), so generations that share a builder
     # build and hash one table.
-    _launches: dict[Callable, LaunchTable] = field(default_factory=dict)
-    _launch_digests: dict[Callable, str] = field(default_factory=dict)
+    _launches: dict[str, LaunchTable] = field(default_factory=dict)
+    _launch_facts: dict[str, dict] = field(default_factory=dict)
+    # The persisted launch memo once read: (state context, payload); the
+    # context is None when the memo is off for this workload.
+    _memo: tuple[str | None, dict] | None = None
     _cache: dict[RunKey, object] = field(default_factory=dict)
 
     # -- building blocks ------------------------------------------------
@@ -163,19 +194,49 @@ class WorkloadEvaluation:
         launch object; the first cell that iterates it materialises the
         launches once, for every later cell.
         """
-        builder = self.spec.builder_for(generation)
-        if builder not in self._launches:
-            self._launches[builder] = self.spec.build(generation)
-        return self._launches[builder]
+        key = self.spec.builder_key(generation)
+        if key not in self._launches:
+            self._launches[key] = self.spec.build(generation)
+        return self._launches[key]
 
     def launch_digest(self, generation: str = "volta") -> str:
         """Memoized content digest of one generation's launch list."""
-        builder = self.spec.builder_for(generation)
-        if builder not in self._launch_digests:
-            self._launch_digests[builder] = launches_digest(
-                self.launches(generation)
-            )
-        return self._launch_digests[builder]
+        return self._facts(generation)["digest"]
+
+    def launch_count(self, generation: str = "volta") -> int:
+        """Memoized length of one generation's launch list."""
+        return self._facts(generation)["launches"]
+
+    def _facts(self, generation: str) -> dict:
+        """One builder's ``{"digest", "launches"}``: memory, then the
+        persisted launch memo, then a build whose facts join the memo.
+
+        The memo lives in the run cache's state store under
+        ``<cache>/launches/``, keyed by the workload and the fingerprint
+        of the code that builds and digests it, so a warm process keys
+        every cell of a built-in workload without building anything.
+        """
+        key = self.spec.builder_key(generation)
+        facts = self._launch_facts.get(key)
+        if facts is None:
+            if self._memo is None:
+                context = self.harness._launch_memo_context(self.spec)
+                stored = context and self.harness.run_cache.get_state(
+                    LAUNCH_MEMO, context
+                )
+                self._memo = (context, stored if isinstance(stored, dict) else {})
+            context, payload = self._memo
+            facts = payload.get(key)
+            if not _is_launch_facts(facts):
+                table = self.launches(generation)
+                facts = {"digest": launches_digest(table), "launches": len(table)}
+                if context is not None:
+                    # A new dict: a concurrent writer never dumps one in flux.
+                    payload = {**payload, key: facts}
+                    self._memo = (context, payload)
+                    self.harness.run_cache.put_state(LAUNCH_MEMO, context, payload)
+            self._launch_facts[key] = facts
+        return facts
 
     def runs_on(self, gpu: GPUConfig) -> bool:
         if not self.spec.fits_on(gpu):
@@ -346,10 +407,10 @@ def _samples(evaluation: WorkloadEvaluation, gpu: GPUConfig) -> bool:
 
 
 def _tbpoint_fits(evaluation: WorkloadEvaluation, gpu: GPUConfig) -> bool:
-    # A len() of the Volta table: no profiling, no clustering.
+    # The Volta launch count, memoized: no build, profiling or clustering.
     return (
         _completes(evaluation, gpu)
-        and len(evaluation.launches("volta")) <= TBPOINT_CAPACITY
+        and evaluation.launch_count("volta") <= TBPOINT_CAPACITY
     )
 
 
@@ -662,11 +723,35 @@ class EvaluationHarness:
         so external layers (the serving scheduler's submission-time
         cache probe, the dedup key for single-flight) address the
         :class:`~repro.analysis.persistence.RunCache` without recomputing
-        anything — at most the workload's launch lists are built once to
-        derive their digests, then memoized on the evaluation.
+        anything.  A built-in workload's launch digests come from the
+        run cache's launch memo when a process has recorded them; only
+        on a memo miss (or with no run cache, or for a workload
+        registered at runtime) are its launch lists built once, digested
+        and memoized.
         """
         entry, target, key = _resolve_cell(method, gpu)
         return self._cell_digest(self.evaluation(workload), key, entry, target)
+
+    def cell_applies(
+        self, workload: str, method: str, gpu: GPUConfig | str | None = None
+    ) -> bool:
+        """Whether a named cell applies: the one gate under which the
+        compute path and the approximate tiers run it.  A cell that does
+        not apply is None.  Answering builds no launch table when the
+        launch memo holds the workload."""
+        entry, target, _ = _resolve_cell(method, gpu)
+        return entry.applies(self.evaluation(workload), target)
+
+    def _launch_memo_context(self, spec: WorkloadSpec) -> str | None:
+        """The launch memo's state context for one workload, or None when
+        the memo is off: no run cache, a spec that is not the built-in
+        corpus's own, or sources that cannot be read."""
+        if not self.run_cache.enabled or not is_builtin(spec):
+            return None
+        code = _launch_code()
+        if code is None:
+            return None
+        return fingerprint({"code": code, "workload": spec.name})
 
     def cell_store(self, method: str) -> tuple[Callable, Callable]:
         """The run cache's ``(get, put)`` for one method's results: the

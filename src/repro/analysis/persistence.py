@@ -26,12 +26,15 @@ import dataclasses
 import hashlib
 import json
 import os
+import sys
 import tempfile
 import threading
 import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy
 
 from repro import __version__
 from repro.core.pka import KernelSelection, SelectedGroup
@@ -55,6 +58,7 @@ __all__ = [
     "dump_run",
     "dump_selection",
     "fingerprint",
+    "launch_code_fingerprint",
     "launches_digest",
     "load_run",
     "load_selection",
@@ -321,6 +325,38 @@ def launches_digest(launches: Iterable[KernelLaunch]) -> str:
         str.__add__, map(str, table.ids()), map(suffixes.__getitem__, table.row_index)
     )
     return hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
+
+
+#: The sources, relative to the ``repro`` package, that a workload's
+#: launch digests are a function of: the builders, the GPU and kernel
+#: model, and this module (the digest format).
+LAUNCH_SOURCES = ("workloads/*.py", "gpu/*.py", "analysis/persistence.py")
+
+
+def launch_code_fingerprint(package: str | Path) -> str | None:
+    """Fingerprint of the code that derives built-in launch digests.
+
+    sha256 over the bytes of every :data:`LAUNCH_SOURCES` file under the
+    package directory ``package``, the package version, the python
+    major.minor version and numpy's (the builders draw from
+    ``numpy.random``).  None when a source is missing or unreadable: a
+    digest remembered under an unknown code identity is not safe.
+    """
+    root = Path(package)
+    hasher = hashlib.sha256()
+    try:
+        for pattern in LAUNCH_SOURCES:
+            paths = sorted(root.glob(pattern))
+            if not paths:
+                return None
+            for path in paths:
+                hasher.update(f"{path.relative_to(root).as_posix()}\0".encode())
+                hasher.update(path.read_bytes())
+    except OSError:
+        return None
+    python = f"{sys.version_info.major}.{sys.version_info.minor}"
+    hasher.update(f"{__version__}/{python}/{numpy.__version__}".encode())
+    return hasher.hexdigest()
 
 
 def run_digest(

@@ -212,8 +212,10 @@ class JobRecord:
     queue_wait_ms: float | None = None
     dedup_hits: int = 0
     #: Times this job was re-dispatched after its worker died mid-run.
-    #: Exceeding the supervisor's redispatch budget routes the job to
-    #: poison quarantine (``failed`` with the crash evidence attached).
+    #: Each death costs one attempt of the harness's one
+    #: :class:`~repro.sim.parallel.FaultPolicy` retry budget
+    #: (``max_retries``); a job that exhausts it goes to poison
+    #: quarantine (``failed`` with the crash evidence attached).
     redispatches: int = 0
     #: The in-memory result object (AppRunResult / KernelSelection /
     #: None for a not-applicable cell); serialized lazily by the server.

@@ -33,6 +33,7 @@ __all__ = [
     "suite_names",
     "workload_names",
     "clear_registry",
+    "is_builtin",
 ]
 
 Builder = Callable[[], Sequence[KernelLaunch]]
@@ -82,6 +83,13 @@ class WorkloadSpec:
         if self.min_memory_gb <= 0:
             raise WorkloadError("min_memory_gb must be positive")
 
+    def builder_key(self, generation: str | None = None) -> str:
+        """Name of the builder :meth:`builder_for` picks: ``generation``
+        when it has a variant builder, else ``"*"`` (the shared one)."""
+        if generation is not None and generation in self.variant_builders:
+            return generation
+        return "*"
+
     def builder_for(self, generation: str | None = None) -> Builder:
         """The builder that produces the launch list on ``generation``.
 
@@ -91,9 +99,8 @@ class WorkloadSpec:
         the source of the paper's Turing conv-training anomaly.  Two
         generations with the same builder get the same launch list.
         """
-        if generation is not None and generation in self.variant_builders:
-            return self.variant_builders[generation]
-        return self.builder
+        key = self.builder_key(generation)
+        return self.builder if key == "*" else self.variant_builders[key]
 
     def build(self, generation: str | None = None) -> LaunchTable:
         """Build the launch table, optionally for a specific GPU generation.
@@ -114,6 +121,11 @@ class WorkloadSpec:
 
 
 _REGISTRY: dict[str, WorkloadSpec] = {}
+
+#: The specs the suite modules registered, and the near duplicates
+#: derived from them, by name: the built-in corpus, whose launch lists
+#: are a function of this package's sources alone.
+_BUILTIN: dict[str, WorkloadSpec] = {}
 
 
 def register(spec: WorkloadSpec) -> WorkloadSpec:
@@ -144,6 +156,13 @@ def get_workload(name: str) -> WorkloadSpec:
         if derived is not None:
             return derived
         raise WorkloadError(f"unknown workload {name!r}") from exc
+
+
+def is_builtin(spec: WorkloadSpec) -> bool:
+    """Whether ``spec`` is the built-in corpus's own spec object (or a
+    near duplicate derived from one) — not a spec registered, replaced
+    or constructed at runtime."""
+    return _BUILTIN.get(spec.name) is spec
 
 
 def iter_workloads(suite: str | None = None) -> Iterator[WorkloadSpec]:
@@ -178,6 +197,7 @@ def clear_registry() -> None:
     with _LOAD_LOCK:
         _REGISTRY.clear()
         _DERIVED.clear()
+        _BUILTIN.clear()
         _LOADED = False
 
 
@@ -263,6 +283,8 @@ def _derived_workload(name: str) -> WorkloadSpec | None:
                 },
             )
             _DERIVED[name] = cached
+            if _BUILTIN.get(base_name) is base:
+                _BUILTIN[name] = cached
     return cached
 
 
@@ -292,5 +314,5 @@ def _ensure_loaded() -> None:
 
         for module in (rodinia, parboil, polybench, cutlass, deepbench, mlperf):
             for spec in module.build_suite():
-                register(spec)
+                _BUILTIN[spec.name] = register(spec)
         _LOADED = True

@@ -9,6 +9,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import EvaluationHarness
+from repro.analysis.harness import _CELL_TABLE
 from repro.analysis.persistence import RunKey
 from repro.baselines.tbpoint import TBPOINT_CAPACITY
 from repro.gpu import (
@@ -184,6 +185,51 @@ class TestOneApplicabilityGate:
         assert evaluation.silicon("volta") is None
         assert evaluation.compute_cell("pka_sim_faithful") is not None
         assert consults == ["pka_sim_faithful"]
+
+
+#: One workload per gate: every method applies; MLPerf (not completable,
+#: too big for Turing); a ``sim_kernel_mismatch`` one; a ``no_turing`` one.
+GATED_WORKLOADS = (
+    "histo",
+    "mlperf_3dunet_inference",
+    "db_conv_train_fp32_0",
+    "db_conv_train_tc_0",
+)
+
+
+class TestCellApplies:
+    """``cell_applies`` is the gate: a cell is None exactly when it is False."""
+
+    @pytest.mark.parametrize("workload", GATED_WORKLOADS)
+    @pytest.mark.parametrize("gpu", [None, "turing"])
+    def test_none_exactly_when_the_gate_is_false(self, harness, workload, gpu):
+        evaluation = harness.evaluation(workload)
+        gates = {}
+        for method in _CELL_TABLE:
+            applies = harness.cell_applies(workload, method, gpu)
+            result = evaluation.compute_cell(method, gpu)
+            assert (result is None) == (not applies), (workload, method, gpu)
+            gates[method] = applies
+        if workload == "histo" and gpu is None:
+            assert all(gates.values())
+
+    def test_tbpoint_capacity(self, over_tbpoint_capacity):
+        harness = EvaluationHarness()
+        assert harness.cell_applies(over_tbpoint_capacity, "full_sim")
+        assert not harness.cell_applies(over_tbpoint_capacity, "tbpoint_sim")
+        assert harness.evaluation(over_tbpoint_capacity).compute_cell(
+            "tbpoint_sim"
+        ) is None
+
+    def test_gate_reads_the_launch_count_from_the_memo(self, tmp_path, builder_calls):
+        assert EvaluationHarness(cache_dir=tmp_path).cell_applies(
+            "gramschmidt", "tbpoint_sim"
+        )
+        builder_calls.clear()
+        assert EvaluationHarness(cache_dir=tmp_path).cell_applies(
+            "gramschmidt", "tbpoint_sim"
+        )
+        assert not builder_calls
 
 
 class TestCustomGPUs:

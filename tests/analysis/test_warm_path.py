@@ -1,10 +1,13 @@
-"""A warm pass reads the run cache without building launch objects.
+"""A warm pass reads the run cache without building anything.
 
-Cache keys are digested from each workload's launch table row by row,
-so a fresh harness over a warm cache has no reason to construct a
-:class:`~repro.gpu.KernelLaunch` per launch.  The only launches a warm
-pass may construct are the representatives of cached selections, which
-``load_selection`` deserializes from their records.
+Cache keys are made from each workload's launch digests, which the run
+cache's launch memo remembers, so a fresh harness over a warm cache
+calls no workload builder at all — and so constructs no
+:class:`~repro.gpu.KernelLaunch`.  The only launches a warm pass may
+construct are the representatives of cached selections, which
+``load_selection`` deserializes from their records.  Without a memo,
+digests are taken from launch tables row by row, still without a
+launch object.
 """
 
 from __future__ import annotations
@@ -45,14 +48,26 @@ def warm_cache(tmp_path_factory):
     return cache_dir
 
 
-def test_warm_pass_builds_no_launches(warm_cache, launch_constructions):
+def test_warm_pass_builds_no_launches(
+    warm_cache, launch_constructions, builder_calls
+):
     harness = _SliceHarness(cache_dir=warm_cache)
     harness.evaluate_cells(CELLS)
     collect_headline_metrics(harness)
     for cell in CELLS:
         harness.cell_digest_for(*cell)
     assert harness.run_cache.writes == 0  # every computed cell was cached
+    assert not builder_calls, builder_calls
     assert set(launch_constructions) <= {SELECTION_RECORDS}, launch_constructions
+
+
+def test_first_key_over_a_warm_cache_calls_no_builder(tmp_path, builder_calls):
+    cell = ("mlperf_bert_inference", "full_sim")
+    digest = EvaluationHarness(cache_dir=tmp_path).cell_digest_for(*cell)
+    assert builder_calls == {"mlperf_bert_inference": 1}
+    builder_calls.clear()
+    assert EvaluationHarness(cache_dir=tmp_path).cell_digest_for(*cell) == digest
+    assert not builder_calls
 
 
 def test_cell_digests_build_no_launches(launch_constructions):

@@ -61,6 +61,22 @@ def launch_constructions(monkeypatch) -> Counter:
 
 
 @pytest.fixture
+def builder_calls(monkeypatch) -> Counter:
+    """Counts every :meth:`WorkloadSpec.build` call, by workload name."""
+    from repro.workloads import WorkloadSpec
+
+    made: Counter = Counter()
+    original = WorkloadSpec.build
+
+    def counting(self, generation=None):
+        made[self.name] += 1
+        return original(self, generation)
+
+    monkeypatch.setattr(WorkloadSpec, "build", counting)
+    return made
+
+
+@pytest.fixture
 def compute_mix() -> InstructionMix:
     """A compute-heavy per-thread instruction mix."""
     return InstructionMix(
