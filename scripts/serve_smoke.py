@@ -92,8 +92,20 @@ def check_recovered(metrics: dict, job: dict) -> str:
     return f"coordinator kill -9 + restart: {recovered:.0f} job(s) recovered"
 
 
+def check_provenance(job: dict, result: dict) -> str:
+    """A done job's source and its result's tier block agree, both ways:
+    ``transfer``/``predicted`` exactly when that block is present."""
+    assert job["state"] == "done", job
+    source = job["source"]
+    assert source in ("cache", "computed", "transfer", "predicted"), job
+    blocks = {block for block in ("transfer", "predicted") if block in result}
+    assert blocks == {source} & {"transfer", "predicted"}, (source, sorted(blocks))
+    return f"{job['request']['workload']}: source {source} agrees with its result"
+
+
 def check_bound(name: str, job: dict, result: dict, truth_cycles: float) -> str:
-    assert job["state"] == "done" and job["source"] == "predicted", job
+    check_provenance(job, result)
+    assert job["source"] == "predicted", job
     predicted = result["predicted"]
     error = abs(result["result"]["total_cycles"] - truth_cycles) / truth_cycles
     assert error <= predicted["error_bound"], (error, predicted)
@@ -234,6 +246,18 @@ def semcache(workdir: Path):
         "--seed", "20260809", "--workloads", "atax,atax~nd1,atax~nd2,atax~nd3",
         "--methods", "pka_sim", "--timeout", "300",
     ), "semcache", 8)
+    # A near duplicate right behind its base: a tier may answer it at
+    # dispatch rather than at submit, and its job must say which.
+    job_ids = [
+        re.search(r"job (j\S+):", pka(
+            "submit", "--port", str(server.port), "--no-wait", name, "pka_sim"
+        )).group(1)
+        for name in ("fdtd2d", "fdtd2d~nd1")
+    ]
+    for job_id in job_ids:
+        yield check_provenance(
+            server.client.wait(job_id, timeout=300.0), server.client.result(job_id)
+        )
     yield server.drain()
 
 

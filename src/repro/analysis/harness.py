@@ -34,9 +34,13 @@ from repro.analysis.persistence import (
     NullRunCache,
     RunCache,
     RunKey,
+    dump_run,
+    dump_selection,
     fingerprint,
     launch_code_fingerprint,
     launches_digest,
+    load_run,
+    load_selection,
     resolve_run_cache,
     run_digest,
 )
@@ -82,11 +86,11 @@ from repro.workloads.spec import (
 )
 from repro.workloads.table import LaunchTable
 
-__all__ = ["CellFailure", "WorkloadEvaluation", "EvaluationHarness"]
+__all__ = ["CellFailure", "CellOutcome", "WorkloadEvaluation", "EvaluationHarness"]
 
 #: Sweep-manifest key (and ``harness.cells_<key>`` counter) of the cells
-#: each approximate tier answered.
-_APPROX_ANSWERS = (("transferred", TransferResult), ("predicted", PredictedResult))
+#: each approximate answer source answered.
+_APPROX_KEYS = {"transfer": "transferred", "predicted": "predicted"}
 
 #: Run-cache state kind of the launch memo: per built-in workload, each
 #: builder's launch digest and launch count, so a process that finds it
@@ -152,6 +156,49 @@ class CellFailure:
         return record
 
 
+@dataclass(frozen=True, slots=True)
+class CellOutcome:
+    """One cell's answer and where it came from, decided once by the cell
+    path (:meth:`WorkloadEvaluation._memoized_run`) for every reader above.
+
+    ``source`` is ``"cache"`` (the run cache), ``"computed"`` (run here,
+    or found not to apply: ``value`` None), or the answering tier's
+    :attr:`~repro.approx.ApproxTier.source` (``"transfer"`` or
+    ``"predicted"``), which also sets the modeled relative error
+    ``bound`` and what ``answered_by`` it: the donor workloads of a
+    transfer, the tier of a prediction.
+    """
+
+    value: object
+    source: str
+    bound: float | None = None
+    answered_by: object = None
+
+    def dump(self) -> dict:
+        """Queue- and wire-safe rendering: the provenance fields, plus
+        the value's ``kind`` (``app_run``/``selection``/``none``) and
+        JSON ``text``."""
+        kind, text = "none", None
+        if isinstance(self.value, AppRunResult):
+            kind, text = "app_run", dump_run(self.value)
+        elif isinstance(self.value, KernelSelection):
+            kind, text = "selection", dump_selection(self.value)
+        return {
+            "source": self.source,
+            "bound": self.bound,
+            "answered_by": self.answered_by,
+            "kind": kind,
+            "text": text,
+        }
+
+    @classmethod
+    def load(cls, document: dict) -> "CellOutcome":
+        """The outcome :meth:`dump` rendered."""
+        load = {"app_run": load_run, "selection": load_selection}.get(document["kind"])
+        value = load(document["text"]) if load is not None else None
+        return cls(value, document["source"], document["bound"], document["answered_by"])
+
+
 def cell_label(workload: str, method: str, gpu: GPUConfig | str | None) -> str:
     """Human-readable identity of one sweep cell, used in manifests."""
     name = gpu.name if isinstance(gpu, GPUConfig) else gpu
@@ -181,7 +228,7 @@ class WorkloadEvaluation:
     # The persisted launch memo once read: (state context, payload); the
     # context is None when the memo is off for this workload.
     _memo: tuple[str | None, dict] | None = None
-    _cache: dict[RunKey, object] = field(default_factory=dict)
+    _cache: dict[RunKey, CellOutcome] = field(default_factory=dict)
 
     # -- building blocks ------------------------------------------------
 
@@ -245,12 +292,13 @@ class WorkloadEvaluation:
 
     def _memoized_run(
         self, key: RunKey, gpu: GPUConfig | None, entry: _CellMethod
-    ):
-        """Memory -> disk -> compute, storing the result in both layers.
+    ) -> CellOutcome:
+        """Memory -> disk -> tiers -> compute, storing the result in both layers.
 
-        ``None`` results (the cell does not apply) are memoized in
-        memory only: they are trivial to re-derive and must not occupy
-        the persistent store.
+        The one place that decides where an answer came from: the memo
+        holds each cell's :class:`CellOutcome`.  ``None`` results (the
+        cell does not apply) are memoized in memory only: they are
+        trivial to re-derive and must not occupy the persistent store.
 
         A digest miss consults the enabled approximate tiers in order
         (semantic cache, then prediction) before computing.  An
@@ -259,9 +307,10 @@ class WorkloadEvaluation:
         be poisoned by it; a computed result is additionally *observed*
         by every tier so it can price future answers.
         """
-        if key in self._cache:
+        outcome = self._cache.get(key)
+        if outcome is not None:
             obs_count("harness.memo_hits")
-            return self._cache[key]
+            return outcome
         harness = self.harness
         with obs_span(
             "harness.cell", cell=cell_label(self.spec.name, key.method, key.gpu)
@@ -269,30 +318,32 @@ class WorkloadEvaluation:
             digest = harness._cell_digest(self, key, entry, gpu)
             get, put = harness.cell_store(key.method)
             result = get(digest)
-            if result is None:
+            if result is not None:
+                outcome = CellOutcome(result, "cache")
+            else:
                 for tier in harness.approx_tiers:
-                    answer = harness._approx_consult(
+                    outcome = harness._approx_consult(
                         tier, self, key.method, gpu, digest
                     )
-                    if answer is not None:
-                        span.set(source=tier.source)
-                        self._cache[key] = answer
-                        return answer
-                span.set(source="computed")
-                if entry.applies(self, gpu):
-                    result = entry.compute(self, gpu)
-                if result is not None:
-                    put(digest, result)
-                    harness._approx_observe(self, key.method, gpu, digest, result)
-            else:
-                span.set(source="disk_cache")
-        self._cache[key] = result
-        return result
+                    if outcome is not None:
+                        break
+                else:
+                    if entry.applies(self, gpu):
+                        result = entry.compute(self, gpu)
+                    if result is not None:
+                        put(digest, result)
+                        harness._approx_observe(
+                            self, key.method, gpu, digest, result
+                        )
+                    outcome = CellOutcome(result, "computed")
+            span.set(source=outcome.source)
+        self._cache[key] = outcome
+        return outcome
 
     def cell(self, method: str, gpu: GPUConfig | None = None):
         """One named cell (see :data:`_CELL_TABLE`), memoized."""
         entry, target, key = _resolve_cell(method, gpu)
-        return self._memoized_run(key, target, entry)
+        return self._memoized_run(key, target, entry).value
 
     # -- named cells ------------------------------------------------------
 
@@ -331,18 +382,18 @@ class WorkloadEvaluation:
     def tbpoint_selection(self) -> TBPointSelection | None:
         key = RunKey("tbpoint_selection")
         if key not in self._cache:
-            if not self.spec.completable:
-                self._cache[key] = None
-            else:
+            selection = None
+            if self.spec.completable:
                 launches = self.launches("volta")
                 profiler = DetailedProfiler(self.harness.silicon(VOLTA_V100))
                 try:
-                    self._cache[key] = select_tbpoint(
+                    selection = select_tbpoint(
                         self.spec.name, profiler.profile(launches)
                     )
                 except ClusteringCapacityError:
-                    self._cache[key] = None
-        return self._cache[key]  # type: ignore[return-value]
+                    pass
+            self._cache[key] = CellOutcome(selection, "computed")
+        return self._cache[key].value  # type: ignore[return-value]
 
     # -- cell dispatch ---------------------------------------------------
 
@@ -365,9 +416,9 @@ class WorkloadEvaluation:
             gpu = get_gpu(gpu)
         entry, target, key = _resolve_cell(method, gpu)
         if strict:
-            return self._memoized_run(key, target, entry)
+            return self._memoized_run(key, target, entry).value
         try:
-            return self._memoized_run(key, target, entry)
+            return self._memoized_run(key, target, entry).value
         except (KeyboardInterrupt, SystemExit):
             raise
         except Exception as exc:
@@ -777,7 +828,7 @@ class EvaluationHarness:
         method: str,
         gpu: GPUConfig | None,
         digest: str,
-    ) -> AppRunResult | None:
+    ) -> CellOutcome | None:
         """One tier's answer for a digest-missed cell, or None.
 
         A cell that does not apply is never answered: the tiers and the
@@ -787,7 +838,7 @@ class EvaluationHarness:
             return None
         if not _cell_method(method).applies(evaluation, gpu):
             return None
-        return tier.consult(
+        answer = tier.consult(
             workload=evaluation.spec.name,
             method=method,
             gpu=gpu,
@@ -795,6 +846,10 @@ class EvaluationHarness:
             digest=digest,
             model_error=self.model_error,
         )
+        if answer is None:
+            return None
+        provenance = (getattr(answer, tier.bound_field), getattr(answer, tier.by_field))
+        return CellOutcome(answer, tier.source, *provenance)
 
     def _approx_observe(
         self,
@@ -833,27 +888,20 @@ class EvaluationHarness:
         method: str,
         gpu: GPUConfig | str | None,
     ) -> AppRunResult | None:
-        """Submission-time answer of one tier for one cell, or None.
-
-        The serving scheduler calls this after its digest-cache probe
-        misses: an answer completes the job without queueing, None
-        escalates to the next tier and then to the compute pipeline.
-        Nothing is simulated either way — at most the workload's launch
-        list is built once, memoized, and priced.
-        """
+        """One tier's answer for one cell (see :meth:`probe_cell`), or None."""
         if tier is None or method not in tier.config.methods:
             return None
         evaluation = self.evaluation(workload)
         entry, target, key = _resolve_cell(method, gpu)
-        memoized = evaluation._cache.get(key)
-        if memoized is not None:
-            # This tier's earlier answer, or a real result other probes serve.
-            return memoized if isinstance(memoized, tier.result_type) else None
-        digest = self._cell_digest(evaluation, key, entry, target)
-        result = self._approx_consult(tier, evaluation, method, target, digest)
-        if result is not None:
-            evaluation._cache[key] = result
-        return result
+        outcome = evaluation._cache.get(key)
+        if outcome is None:
+            digest = self._cell_digest(evaluation, key, entry, target)
+            outcome = self._approx_consult(tier, evaluation, method, target, digest)
+            if outcome is None:
+                return None
+            evaluation._cache[key] = outcome
+        # This tier's answer; another source's is for other probes to serve.
+        return outcome.value if outcome.source == tier.source else None
 
     def transfer_probe(
         self, workload: str, method: str, gpu: GPUConfig | str | None = None
@@ -866,6 +914,24 @@ class EvaluationHarness:
     ) -> PredictedResult | None:
         """The prediction tiers' submission-time answer (see :meth:`_approx_probe`)."""
         return self._approx_probe(self.predict, workload, method, gpu)
+
+    def probe_cell(
+        self, workload: str, method: str, gpu: GPUConfig | str | None, digest: str
+    ) -> CellOutcome | None:
+        """A cell's answer from the run cache or, in consult order, an
+        approximate tier's named probe; None when all escalate.  Nothing
+        is simulated: at most the workload's launch list is built once,
+        memoized, and priced.  ``digest`` is the cell's
+        :meth:`cell_digest_for`."""
+        get, _ = self.cell_store(method)
+        value = get(digest)
+        if value is not None:
+            return CellOutcome(value, "cache")
+        for probe in (self.transfer_probe, self.predict_probe):
+            if probe(workload, method, gpu) is not None:
+                evaluation = self.evaluation(workload)
+                return evaluation._cache[evaluation.cell_key(method, gpu)]
+        return None
 
     # -- parallel cell dispatch ------------------------------------------
 
@@ -910,9 +976,10 @@ class EvaluationHarness:
         ``progress`` is a **job-granular** completion hook: it receives
         each cell's :class:`~repro.sim.parallel.TaskOutcome` as soon as
         the runtime decides it, inline or on the pool, before the sweep
-        finishes.  The serving scheduler uses it to complete jobs without
-        waiting for the whole batch.  It is called from the dispatching
-        thread; callbacks must be fast and must not raise.
+        finishes (a completed cell's ``value`` is its
+        :class:`CellOutcome`).  The serving scheduler uses it to complete
+        jobs without waiting for the whole batch.  It is called from the
+        dispatching thread; callbacks must be fast and must not raise.
 
         ``crash_in_process=True`` makes an injected ``"crash"`` fault
         genuinely ``os._exit`` the calling process instead of simulating
@@ -938,7 +1005,7 @@ class EvaluationHarness:
 
                 def compute(cell):
                     workload, method, gpu = cell
-                    return self.evaluation(workload).compute_cell(method, gpu)
+                    return _cell_outcome(self.evaluation(workload), method, gpu)
 
                 outcomes = _run_tasks_inline(
                     compute, normalized, policy, labels, plan, False, progress,
@@ -961,16 +1028,21 @@ class EvaluationHarness:
                 )
         results: list = []
         failures: list[CellFailure] = []
+        approx: dict[str, list[str]] = {key: [] for key in _APPROX_KEYS.values()}
         first_failed = None
         # strict=True: a backend returning a truncated outcome list would
         # silently drop trailing cells from results and the manifest.
-        for (workload, method, gpu), outcome in zip(normalized, outcomes, strict=True):
+        for index, ((workload, method, gpu), outcome) in enumerate(
+            zip(normalized, outcomes, strict=True)
+        ):
             if outcome.ok:
-                evaluation = self.evaluation(workload)
-                evaluation._cache.setdefault(
-                    evaluation.cell_key(method, gpu), outcome.value
-                )
-                results.append(outcome.value)
+                cell: CellOutcome = outcome.value
+                if self.backend.jobs != 1:  # inline cells are memoized already
+                    evaluation = self.evaluation(workload)
+                    evaluation._cache.setdefault(evaluation.cell_key(method, gpu), cell)
+                results.append(cell.value)
+                if cell.source in _APPROX_KEYS:
+                    approx[_APPROX_KEYS[cell.source]].append(labels[index])
                 continue
             kind = outcome.failure.kind
             if kind == "exception" and outcome.failure.error_type in (
@@ -997,15 +1069,14 @@ class EvaluationHarness:
         skipped = sum(1 for result in results if result is None)
         if skipped:
             obs_count("harness.cells_skipped", skipped)
-        for label, answer_type in _APPROX_ANSWERS:
-            answered = sum(1 for result in results if isinstance(result, answer_type))
+        for key, answered in approx.items():
             if answered:
-                obs_count(f"harness.cells_{label}", answered)
+                obs_count(f"harness.cells_{key}", len(answered))
         obs_count(
             "harness.cells_completed",
             len(results) - len(failures) - skipped,
         )
-        self._record_manifest(labels, results, failures)
+        self._record_manifest(labels, failures, approx)
         if strict and first_failed is not None:
             if first_failed.exception is not None:
                 raise first_failed.failure.to_error() from first_failed.exception
@@ -1015,8 +1086,8 @@ class EvaluationHarness:
     def _record_manifest(
         self,
         labels: list[str],
-        results: list,
         failures: list[CellFailure],
+        approx: dict[str, list[str]],
     ) -> None:
         """Persist which cells of a sweep completed and which were quarantined."""
         sweep_id = fingerprint(
@@ -1031,15 +1102,8 @@ class EvaluationHarness:
             "quarantined": sorted(failed_labels),
             "failures": [failure.to_record() for failure in failures],
             # Cells answered by an approximate tier (no DES ran; the
-            # result carries a modeled error bound).
-            **{
-                key: [
-                    label
-                    for label, result in zip(labels, results, strict=True)
-                    if isinstance(result, answer_type)
-                ]
-                for key, answer_type in _APPROX_ANSWERS
-            },
+            # answer carries a modeled error bound).
+            **approx,
             # Cache-side integrity events observed by *this process* so
             # far: entries moved to <cache>/quarantine/ plus refused
             # schema stamps (workers record their own in their caches).
@@ -1064,11 +1128,19 @@ class EvaluationHarness:
 _WORKER_HARNESSES: dict[tuple, EvaluationHarness] = {}
 
 
-def _evaluate_cell_task(payload: tuple):
+def _cell_outcome(
+    evaluation: WorkloadEvaluation, method: str, gpu: GPUConfig | None
+) -> CellOutcome:
+    """:meth:`WorkloadEvaluation.compute_cell` (traced), then its outcome."""
+    evaluation.compute_cell(method, gpu)
+    return evaluation._cache[evaluation.cell_key(method, gpu)]
+
+
+def _evaluate_cell_task(payload: tuple) -> CellOutcome:
     """Worker: compute one evaluation cell with a process-local harness."""
     spec, (workload, method, gpu) = payload
     key = tuple(spec.items())
     harness = _WORKER_HARNESSES.get(key)
     if harness is None:
         harness = _WORKER_HARNESSES[key] = EvaluationHarness(**spec)
-    return harness.evaluation(workload).compute_cell(method, gpu)
+    return _cell_outcome(harness.evaluation(workload), method, gpu)

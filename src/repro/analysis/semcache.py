@@ -246,6 +246,8 @@ class SemanticCache(ApproxTier):
     answers_key = "transfers"
     error_key = "transfer_error"
     result_type = TransferResult
+    bound_field = "transfer_error_bound"
+    by_field = "transferred_from"
     config_type = SemanticCacheConfig
     state_version = SEMCACHE_STATE_VERSION
     escalation_reasons = ("coverage", "bound")

@@ -98,6 +98,10 @@ class ApproxTier:
     #: The frozen :class:`AppRunResult` subclass the tier answers with;
     #: answers are never ingested back.
     result_type: type
+    #: Its fields holding the modeled relative error bound and what
+    #: answered (the latter is also that value's wire key).
+    bound_field: str
+    by_field: str
     config_type: type
     #: Layout version of the state document; mismatched states are
     #: discarded.

@@ -160,6 +160,8 @@ class PredictTiers(ApproxTier):
     answers_key = "predictions"
     error_key = "prediction_error"
     result_type = PredictedResult
+    bound_field = "prediction_error_bound"
+    by_field = "predicted_by"
     config_type = PredictConfig
     state_version = PREDICT_STATE_VERSION
     escalation_reasons = ("cold", "coverage", "bound")

@@ -187,11 +187,12 @@ def job_id_for(cell_digest: str, fault: str | None = None) -> str:
 class JobRecord:
     """One job's full serving state, mutated only under the scheduler lock.
 
-    ``digest`` is the cell's cache address; ``source`` records where the
-    result came from (``"cache"`` for a submission-time cache hit,
-    ``"computed"`` for a backend fan-out); ``latency_ms`` is
-    submit-to-terminal wall time, also recorded as a ``service.job``
-    span for the ``/metricsz`` percentiles.
+    ``digest`` is the cell's cache address; ``outcome`` is the answer
+    with its provenance (a :class:`~repro.analysis.harness.CellOutcome`,
+    None until done, serialized lazily by the server), from which
+    ``source`` and ``result`` read; ``latency_ms`` is submit-to-terminal
+    wall time, also recorded as a ``service.job`` span for the
+    ``/metricsz`` percentiles.
     """
 
     job_id: str
@@ -200,7 +201,6 @@ class JobRecord:
     state: str = "queued"
     created_at: float = field(default_factory=time.time)
     submitted_us: float = field(default_factory=now_us)
-    source: str | None = None
     attempts: int = 0
     error: dict | None = None
     latency_ms: float | None = None
@@ -217,9 +217,19 @@ class JobRecord:
     #: (``max_retries``); a job that exhausts it goes to poison
     #: quarantine (``failed`` with the crash evidence attached).
     redispatches: int = 0
-    #: The in-memory result object (AppRunResult / KernelSelection /
-    #: None for a not-applicable cell); serialized lazily by the server.
-    result: Any = None
+    outcome: Any = None
+
+    @property
+    def source(self) -> str | None:
+        """``cache``, ``computed``, ``transfer`` or ``predicted`` (a tier
+        answered, at submit or at dispatch); None without an answer."""
+        return None if self.outcome is None else self.outcome.source
+
+    @property
+    def result(self) -> Any:
+        """The answer's value: AppRunResult / KernelSelection / None
+        (also for a not-applicable cell)."""
+        return None if self.outcome is None else self.outcome.value
 
     @property
     def terminal(self) -> bool:

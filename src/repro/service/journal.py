@@ -66,6 +66,21 @@ class JournalRecord(dict):
         return self.get("data", {})
 
 
+def lifecycles(
+    records: Iterable[JournalRecord],
+) -> list[tuple[JournalRecord, JournalRecord | None]]:
+    """Each job's latest ``accepted`` record with its latest ``completed``
+    one (None while the job is open), in first-appearance order."""
+    latest: dict[str, dict[str, JournalRecord]] = {}
+    for record in records:
+        latest.setdefault(record.job_id, {})[record.event] = record
+    return [
+        (events["accepted"], events.get("completed"))
+        for events in latest.values()
+        if "accepted" in events
+    ]
+
+
 def _checksum(document: dict) -> str:
     """sha256 over the canonical JSON of ``document`` (sans envelope)."""
     text = json.dumps(document, sort_keys=True, separators=(",", ":"))
@@ -224,21 +239,12 @@ class JobJournal:
         """
         if records is None:
             records = self.replay()
-        accepted: dict[str, JournalRecord] = {}
-        completed: dict[str, JournalRecord] = {}
-        order: list[str] = []
-        for record in records:
-            if record.event == "accepted":
-                if record.job_id not in accepted:
-                    order.append(record.job_id)
-                accepted[record.job_id] = record
-            elif record.event == "completed":
-                completed[record.job_id] = record
-        keep: list[JournalRecord] = []
-        for job_id in order:
-            keep.append(accepted[job_id])
-            if job_id in completed:
-                keep.append(completed[job_id])
+        keep = [
+            record
+            for lifecycle in lifecycles(records)
+            for record in lifecycle
+            if record is not None
+        ]
         lines = [
             json.dumps(dict(record), sort_keys=True, separators=(",", ":"))
             for record in keep

@@ -241,8 +241,9 @@ class LoadReport:
     #: (``source == "transfer"``) rather than an exact-cache hit or a
     #: fresh simulation.
     transferred: int = 0
-    #: Completed jobs the prediction tiers answered at submit time
-    #: (``source == "predicted"``) — never queued, never simulated.
+    #: Completed jobs the prediction tiers answered
+    #: (``source == "predicted"``), at submit or at dispatch — never
+    #: simulated.
     predicted: int = 0
     failed: int = 0
     quarantined: int = 0

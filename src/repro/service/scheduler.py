@@ -30,7 +30,7 @@ Two robustness layers stack on top in fleet mode:
   attached, every accepted job is journaled *before* the submission
   returns, and every terminal transition afterwards.  A restarted
   coordinator calls :meth:`recover`: terminal jobs are restored (their
-  results re-attached from the run cache), incomplete jobs re-enqueued.
+  answers re-attached without a compute), incomplete jobs re-enqueued.
   Zero accepted jobs are lost to a coordinator ``kill -9``.
 
 * **Degradation.**  With a :class:`~repro.service.supervisor.
@@ -70,11 +70,14 @@ from repro.service.jobs import (
     job_id_for,
     parse_job_fault,
 )
-from repro.service.journal import JobJournal
+from repro.service.journal import JobJournal, lifecycles
 from repro.service.queue import JobQueue
 from repro.sim.faults import FaultPlan, InjectedFault
 
 __all__ = ["Scheduler"]
+
+#: The ``service.*`` counter of each submission-time answer source.
+_HITS = {"cache": "cache_hits", "transfer": "transfer_hits", "predicted": "predict_hits"}
 
 
 class Scheduler:
@@ -250,10 +253,12 @@ class Scheduler:
     def recover(self) -> int:
         """Replay the journal into the registry; returns jobs restored.
 
-        Terminal jobs come back terminal, with their results re-attached
-        from the run cache when it still holds them.  Jobs accepted but
-        never completed are re-enqueued at the front of the queue — they
-        run as soon as :meth:`start` is called.  The journal is then
+        Terminal jobs come back terminal; a done job's answer is
+        re-attached the way a submission finds one (the run cache, then
+        the approximate tiers), and a done job nothing answers any more
+        runs again.  Jobs to run — those and every job accepted but never
+        completed — are re-enqueued at the front of the queue, to run as
+        soon as :meth:`start` is called.  The journal is then
         compacted so repeated crash/restart cycles do not grow it
         without bound.
         """
@@ -262,43 +267,33 @@ class Scheduler:
         records = self.journal.replay()
         if not records:
             return 0
-        accepted: dict[str, dict] = {}
-        completed: dict[str, dict] = {}
-        order: list[str] = []
-        for entry in records:
-            if entry.event == "accepted":
-                if entry.job_id not in accepted:
-                    order.append(entry.job_id)
-                accepted[entry.job_id] = entry.data
-            elif entry.event == "completed":
-                completed[entry.job_id] = entry.data
         pending: list[JobRecord] = []
         restored = 0
         with self._lock:
-            for job_id in order:
+            for accepted, completed in lifecycles(records):
+                job_id = accepted.job_id
                 if job_id in self._jobs:
                     continue
-                data = accepted[job_id]
                 try:
-                    request = JobRequest.from_document(data["request"])
-                    digest = data["digest"]
+                    request = JobRequest.from_document(accepted.data["request"])
+                    digest = accepted.data["digest"]
                 except (KeyError, ServiceError):
                     obs_count("journal.unrecoverable")
                     continue
-                record = JobRecord(
-                    job_id=job_id, request=request, digest=digest
-                )
-                final = completed.get(job_id)
-                if final is not None:
+                record = JobRecord(job_id=job_id, request=request, digest=digest)
+                if completed is not None:
+                    final = completed.data
                     record.state = final.get("state", "done")
                     record.error = final.get("error")
-                    record.source = final.get("source")
                     record.attempts = final.get("attempts") or 0
                     record.latency_ms = final.get("latency_ms")
-                    if record.state == "done":
-                        record.result = self._cached_result(record)
-                else:
-                    record.state = "queued"
+                if record.state == "done":
+                    record.outcome = self._answer(record)
+                    if record.outcome is None:
+                        # No answer without a compute any more (an evicted
+                        # entry, a tier that now escalates): run it again.
+                        record.state = "queued"
+                if record.state == "queued":
                     pending.append(record)
                 self._jobs[job_id] = record
                 restored += 1
@@ -315,10 +310,15 @@ class Scheduler:
             pass
         return restored
 
-    def _cached_result(self, record: JobRecord):
-        """Re-attach a recovered job's result from the run cache."""
-        get, _ = self.harness.cell_store(record.request.method)
-        return get(record.digest)
+    def _answer(self, record: JobRecord):
+        """The job's answer without a compute (submit and recovery), or None."""
+        request = record.request
+        try:
+            return self.harness.probe_cell(
+                request.workload, request.method, request.gpu, record.digest
+            )
+        except ReproError:  # a workload this process cannot name
+            return None
 
     # -- admission control ------------------------------------------------
 
@@ -451,42 +451,40 @@ class Scheduler:
             record = JobRecord(job_id=job_id, request=request, digest=digest)
             self._jobs[job_id] = record
         obs_count("service.jobs_submitted")
-        if request.fault is None and self._probe_cache(record, digest):
-            obs_count("service.cache_hits")
-            return record, True
-        # Approximate warm path: a digest miss that the semantic cache
-        # (similarity transfer) or the prediction tiers can answer within
-        # their error bound completes right here — it never queues and
-        # never runs the DES.  Escalations fall through to the normal
-        # compute pipeline below.
-        if request.fault is None and self._probe_approx(record, digest):
-            return record, True
-        # Circuit breaker: a cold cell cannot complete while every
-        # worker is down — shed it now with retry advice instead of
-        # queueing behind a dead fleet.  (Checked outside _lock; the
-        # supervisor takes its own lock for liveness.)
+        # Warm path: a cell the run cache holds, or that the semantic
+        # cache (similarity transfer) or the prediction tiers can answer
+        # within their error bound, completes right here — it never
+        # queues and never runs the DES.  Escalations fall through to the
+        # normal compute pipeline below.
+        outcome = self._answer(record) if request.fault is None else None
         supervisor = self.supervisor
-        if supervisor is not None and not supervisor.any_alive:
-            with self._lock:
-                self._jobs.pop(job_id, None)
-            obs_count("service.jobs_shed")
-            obs_count("service.jobs_rejected")
-            raise WorkersUnavailableError(
-                "all fleet workers are down; cold jobs are shed "
-                "(warm-cache submissions still complete)",
-                retry_after=supervisor.next_retry_after(),
-            )
-        # Deadline-aware admission: shed a job whose predicted queue
-        # wait cannot meet its (or the server's default) deadline.
-        self._admit_deadline(record)
-        # Journal before enqueue: once the client hears "accepted", the
-        # record is already durable.
+        if outcome is None:
+            # Circuit breaker: a cold cell cannot complete while every
+            # worker is down — shed it now with retry advice instead of
+            # queueing behind a dead fleet.  (Checked outside _lock; the
+            # supervisor takes its own lock for liveness.)
+            if supervisor is not None and not supervisor.any_alive:
+                with self._lock:
+                    self._jobs.pop(job_id, None)
+                obs_count("service.jobs_shed")
+                obs_count("service.jobs_rejected")
+                raise WorkersUnavailableError(
+                    "all fleet workers are down; cold jobs are shed "
+                    "(warm-cache submissions still complete)",
+                    retry_after=supervisor.next_retry_after(),
+                )
+            # Deadline-aware admission: shed a job whose predicted queue
+            # wait cannot meet its (or the server's default) deadline.
+            self._admit_deadline(record)
+        # Journal before completing or enqueueing: once the client hears
+        # "accepted", the record is already durable.
         self._journal_event(
-            "accepted",
-            record,
-            request=request.to_document(),
-            digest=digest,
+            "accepted", record, request=request.to_document(), digest=digest
         )
+        if outcome is not None:
+            self._complete(record, "done", outcome=outcome)
+            obs_count(f"service.{_HITS[outcome.source]}")
+            return record, True
         try:
             self.queue.put(record)
         except QueueFullError as exc:
@@ -521,51 +519,6 @@ class Scheduler:
                     "service is draining and no longer accepts jobs"
                 )
         return record, True
-
-    def _probe_cache(self, record: JobRecord, digest: str) -> bool:
-        """Complete the job from the on-disk cache if the cell is warm."""
-        get, _ = self.harness.cell_store(record.request.method)
-        cached = get(digest)
-        if cached is None:
-            return False
-        self._journal_event(
-            "accepted",
-            record,
-            request=record.request.to_document(),
-            digest=digest,
-        )
-        self._complete(record, "done", result=cached, source="cache")
-        return True
-
-    def _probe_approx(self, record: JobRecord, digest: str) -> bool:
-        """Complete the job from the first approximate tier that answers.
-
-        Tiers are probed in consult order (semantic cache, then the
-        prediction tiers).  Mirrors :meth:`_probe_cache`'s durability
-        contract: the accepted record is journaled before the
-        completion, so replay accounting holds for approximate answers
-        too.
-        """
-        request = record.request
-        harness = self.harness
-        # Through the named probes: they are the per-tier entry points
-        # that tracing wraps (bench/spans.py).
-        for tier, probe, hits in (
-            (harness.semcache, harness.transfer_probe, "service.transfer_hits"),
-            (harness.predict, harness.predict_probe, "service.predict_hits"),
-        ):
-            if tier is None:
-                continue
-            answer = probe(request.workload, request.method, request.gpu)
-            if answer is None:
-                continue
-            self._journal_event(
-                "accepted", record, request=request.to_document(), digest=digest
-            )
-            self._complete(record, "done", result=answer, source=tier.source)
-            obs_count(hits)
-            return True
-        return False
 
     def get(self, job_id: str) -> JobRecord:
         with self._lock:
@@ -676,20 +629,14 @@ class Scheduler:
         self,
         record: JobRecord,
         *,
-        result=None,
+        outcome=None,
         error: dict | None = None,
         attempts: int | None = None,
-        source: str | None = "computed",
     ) -> None:
         """Terminal completion from a fleet worker's reported outcome."""
         state = "failed" if error is not None else "done"
         self._complete(
-            record,
-            state,
-            result=result,
-            error=error,
-            attempts=attempts,
-            source=source,
+            record, state, outcome=outcome, error=error, attempts=attempts
         )
 
     # -- dispatch --------------------------------------------------------
@@ -737,54 +684,45 @@ class Scheduler:
         def progress(outcome) -> None:
             # Job-granular completion: don't make job 1 wait for job 32.
             if outcome.ok:
-                self._complete(
-                    ready[outcome.index],
-                    "done",
-                    result=outcome.value,
-                    source="computed",
-                )
+                self._complete(ready[outcome.index], "done", outcome=outcome.value)
 
         results = self.harness.evaluate_cells(
             cells, strict=False, fault_plan=plan, progress=progress
         )
+        # Every completed cell finished through ``progress``; the
+        # failures finish here, as the sweep's CellFailure records.
         for record, result in zip(ready, results, strict=True):
-            if record.terminal:
-                continue
-            if isinstance(result, CellFailure):
+            if isinstance(result, CellFailure) and not record.terminal:
                 self._complete(
                     record,
                     "failed",
                     error=result.to_record(),
                     attempts=result.attempts,
                 )
-            else:
-                self._complete(record, "done", result=result, source="computed")
 
     def _complete(
         self,
         record: JobRecord,
         state: str,
         *,
-        result=None,
+        outcome=None,
         error: dict | None = None,
         attempts: int | None = None,
-        source: str | None = None,
     ) -> None:
         with self._lock:
             if record.terminal:
                 return
             record.state = state
-            record.result = result
+            record.outcome = outcome
             record.error = error
             if attempts is not None:
                 record.attempts = attempts
-            if source is not None:
-                record.source = source
             end_us = now_us()
             record.latency_ms = (end_us - record.submitted_us) / 1000.0
+            # Only a real compute feeds the service-time estimate.
             if (
                 state == "done"
-                and source == "computed"
+                and record.source == "computed"
                 and record.started_us is not None
             ):
                 self._observe_service_time(

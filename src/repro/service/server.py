@@ -54,10 +54,8 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.analysis.harness import EvaluationHarness
-from repro.analysis.persistence import dump_run, dump_selection
-from repro.analysis.semcache import TransferResult
-from repro.core.pka import KernelSelection
-from repro.predict import PredictedResult
+from repro.analysis.semcache import SemanticCache
+from repro.predict import PredictTiers
 from repro.errors import (
     DeadlineUnattainableError,
     InvalidJobRequestError,
@@ -74,7 +72,6 @@ from repro.service.jobs import JobRecord, JobRequest
 from repro.service.journal import JobJournal
 from repro.service.scheduler import Scheduler
 from repro.service.supervisor import WorkerSupervisor
-from repro.sim.stats import AppRunResult
 
 __all__ = ["PKAService", "STATUS_FOR"]
 
@@ -97,42 +94,29 @@ def _status_for(exc: ServiceError) -> int:
     return 500
 
 
+#: Per approximate answer source, the result-block key of what answered.
+_ANSWERED_BY = {tier.source: tier.by_field for tier in (SemanticCache, PredictTiers)}
+
+
 def _result_document(record: JobRecord) -> dict:
     """JSON-ready result payload for a terminal job."""
-    result = record.result
-    if isinstance(result, AppRunResult):
-        payload: object = json.loads(dump_run(result))
-        kind = "app_run"
-    elif isinstance(result, KernelSelection):
-        payload = json.loads(dump_selection(result))
-        kind = "selection"
-    elif result is None:
-        # Either a not-applicable cell (done, value None) or a
-        # failed/cancelled job with no value at all.
-        payload = None
-        kind = "none"
-    else:  # pragma: no cover - future result types serialize as repr
-        payload = repr(result)
-        kind = type(result).__name__
+    outcome = record.outcome
+    # Kind "none": a not-applicable cell (done, value None), or a
+    # failed/cancelled job with no answer at all.
+    wire = outcome.dump() if outcome is not None else {"kind": "none", "text": None}
     document = {
         "job": record.to_document(),
-        "result_kind": kind,
-        "result": payload,
+        "result_kind": wire["kind"],
+        "result": json.loads(wire["text"]) if wire["text"] is not None else None,
     }
-    if isinstance(result, TransferResult):
-        # Transfer answers keep the app_run wire shape (clients parse
-        # them unchanged; job.source == "transfer" tells them apart) and
-        # additionally advertise the modeled bound and provenance.
-        document["transfer"] = {
-            "error_bound": result.transfer_error_bound,
-            "transferred_from": list(result.transferred_from),
-        }
-    if isinstance(result, PredictedResult):
-        # Same contract for prediction answers: app_run wire shape,
-        # job.source == "predicted", plus bound and answering tier.
-        document["predicted"] = {
-            "error_bound": result.prediction_error_bound,
-            "predicted_by": result.predicted_by,
+    by_key = _ANSWERED_BY.get(outcome.source) if outcome is not None else None
+    if by_key is not None:
+        # Approximate answers keep the app_run wire shape (job.source
+        # tells them apart) plus a block under their source: the bound
+        # and what answered (``transferred_from`` / ``predicted_by``).
+        document[outcome.source] = {
+            "error_bound": outcome.bound,
+            by_key: outcome.answered_by,
         }
     return document
 

@@ -48,19 +48,11 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.analysis.harness import EvaluationHarness
-from repro.analysis.persistence import (
-    dump_run,
-    dump_selection,
-    load_run,
-    load_selection,
-)
-from repro.core.pka import KernelSelection
+from repro.analysis.harness import CellFailure, CellOutcome, EvaluationHarness
 from repro.obs import obs_count
 from repro.service.jobs import JobRecord, parse_job_fault
 from repro.sim.faults import FaultPlan, InjectedFault
 from repro.sim.parallel import kill_worker, reap_worker, spawn_worker, worker_context
-from repro.sim.stats import AppRunResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.service.scheduler import Scheduler
@@ -119,45 +111,35 @@ def _worker_main(
                         ),
                     )
                 )
-            results = harness.evaluate_cells(
-                [cell], strict=False, fault_plan=plan, crash_in_process=True
+            answers = []
+            [result] = harness.evaluate_cells(
+                [cell],
+                strict=False,
+                fault_plan=plan,
+                crash_in_process=True,
+                progress=answers.append,
             )
+            if not isinstance(result, CellFailure):
+                result = answers[0].value  # the cell's CellOutcome
             event_queue.put(
-                (
-                    "finished",
-                    worker_id,
-                    generation,
-                    job_id,
-                    _serialize_result(results[0]),
-                )
+                ("finished", worker_id, generation, job_id, _serialize_result(result))
             )
     finally:
         stop.set()
 
 
-def _serialize_result(result: Any) -> dict:
-    """Portable (queue-safe) rendering of one cell result."""
-    from repro.analysis.harness import CellFailure
-
+def _serialize_result(result: CellOutcome | CellFailure) -> dict:
+    """Portable (queue-safe) rendering of one cell's outcome or failure."""
     if isinstance(result, CellFailure):
         return {
             "ok": False,
             "failure": result.to_record(),
             "attempts": result.attempts,
         }
-    if isinstance(result, AppRunResult):
-        return {"ok": True, "kind": "app_run", "text": dump_run(result)}
-    if isinstance(result, KernelSelection):
-        return {"ok": True, "kind": "selection", "text": dump_selection(result)}
-    return {"ok": True, "kind": "none", "text": None}
+    return {"ok": True, **result.dump()}
 
 
-def _deserialize_result(payload: dict) -> Any:
-    if payload.get("kind") == "app_run":
-        return load_run(payload["text"])
-    if payload.get("kind") == "selection":
-        return load_selection(payload["text"])
-    return None
+_deserialize_result = CellOutcome.load
 
 
 @dataclass
@@ -635,15 +617,12 @@ class WorkerSupervisor:
         except Exception:
             return  # job evaporated (should not happen); nothing to complete
         if payload.get("ok"):
-            scheduler.finish(
-                record, result=_deserialize_result(payload), source="computed"
-            )
+            scheduler.finish(record, outcome=_deserialize_result(payload))
         else:
             scheduler.finish(
                 record,
                 error=payload.get("failure"),
                 attempts=payload.get("attempts"),
-                source="computed",
             )
         obs_count("fleet.jobs_finished")
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import queue
 import signal
 import subprocess
 import sys
@@ -22,7 +23,7 @@ import urllib.request
 import pytest
 
 from repro import obs
-from repro.analysis.harness import EvaluationHarness
+from repro.analysis.harness import CellOutcome, EvaluationHarness
 from repro.analysis.persistence import dump_run
 from repro.errors import WorkersUnavailableError
 from repro.sim.parallel import FaultPolicy
@@ -33,6 +34,11 @@ from repro.service import (
     Scheduler,
     ServiceClient,
     WorkerSupervisor,
+)
+from repro.service.supervisor import (
+    _deserialize_result,
+    _serialize_result,
+    _worker_main,
 )
 
 WORKLOAD = "gauss_208"
@@ -647,3 +653,28 @@ class TestFleetProcess:
                 if proc is not None and proc.poll() is None:
                     proc.kill()
                     proc.communicate(timeout=10)
+
+
+class TestResultWireFormat:
+    """What a fleet worker reports: the cell's value and its source."""
+
+    @pytest.mark.parametrize("source", ["cache", "computed"])
+    def test_outcome_round_trips_with_its_source(self, source):
+        run = EvaluationHarness(backend="serial").evaluation("histo").silicon()
+        for value in (run, None):
+            back = _deserialize_result(_serialize_result(CellOutcome(value, source)))
+            assert back.source == source
+            assert back.value == value
+
+    def test_worker_reports_a_disk_hit_as_cache(self, tmp_path):
+        harness = EvaluationHarness(backend="serial", cache_dir=tmp_path / "cache")
+        harness.evaluation("histo").silicon()
+        tasks, events = queue.Queue(), queue.Queue()
+        tasks.put(("j1", ("histo", "silicon", None), None, 0))
+        tasks.put(None)
+        _worker_main(0, 0, tasks, events, harness.worker_spec(), 60.0, os.getppid())
+        finished = [event for event in events.queue if event[0] == "finished"]
+        assert [event[3] for event in finished] == ["j1"]
+        payload = finished[0][4]
+        assert payload["ok"] and payload["kind"] == "app_run"
+        assert payload["source"] == "cache"

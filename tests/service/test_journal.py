@@ -7,6 +7,8 @@ import json
 import pytest
 
 from repro import obs
+from repro.analysis.harness import EvaluationHarness
+from repro.service import JobRequest, PKAService, ServiceClient
 from repro.service.journal import JOURNAL_SCHEMA_VERSION, JobJournal
 
 
@@ -154,3 +156,59 @@ class TestCompaction:
         journal.close()
         records = JobJournal(journal_path).replay()
         assert [r.job_id for r in records] == ["j-1", "j-2"]
+
+
+class TestTierAnswerRecovery:
+    """A job a tier answered is not in the run cache: a restarted
+    coordinator re-attaches its answer through the same no-compute cell
+    path the submission probes use, or runs the job again."""
+
+    @staticmethod
+    def _serve(tmp_path, **tiers) -> tuple[PKAService, ServiceClient]:
+        harness = EvaluationHarness(
+            backend="serial", cache_dir=tmp_path / "cache", **tiers
+        )
+        service = PKAService(
+            harness, port=0, journal_path=str(tmp_path / "journal.jsonl")
+        )
+        service.start()
+        return service, ServiceClient(port=service.port, timeout=10.0)
+
+    def _transferred(self, tmp_path) -> tuple[str, dict]:
+        service, client = self._serve(tmp_path, semcache=True)
+        try:
+            donor = client.submit(JobRequest(workload="atax", method="pka_sim"))
+            client.wait(donor["job_id"], timeout=120.0)
+            job_id = client.submit(
+                JobRequest(workload="atax~nd1", method="pka_sim")
+            )["job_id"]
+            before = client.result(job_id)
+        finally:
+            service.close()
+        assert before["job"]["source"] == "transfer"
+        assert before["result_kind"] == "app_run" and "transfer" in before
+        return job_id, before
+
+    def test_transferred_job_keeps_its_answer(self, tmp_path):
+        job_id, before = self._transferred(tmp_path)
+        service, client = self._serve(tmp_path, semcache=True)
+        try:
+            after = client.result(job_id)
+        finally:
+            service.close()
+        assert after["job"]["state"] == "done"
+        assert after["job"]["source"] == "transfer"
+        assert after["result_kind"] == "app_run"
+        assert after["result"] == before["result"]
+        assert after["transfer"] == before["transfer"]
+
+    def test_job_no_tier_answers_runs_again(self, tmp_path):
+        job_id, _ = self._transferred(tmp_path)
+        service, client = self._serve(tmp_path)  # the semantic cache is off
+        try:
+            final = client.wait(job_id, timeout=120.0)
+            after = client.result(job_id)
+        finally:
+            service.close()
+        assert final["state"] == "done" and final["source"] == "computed"
+        assert after["result_kind"] == "app_run" and "transfer" not in after

@@ -56,6 +56,22 @@ def _warm(client, workloads=TRAIN) -> None:
 
 
 class TestPredictWarmPath:
+    def test_every_job_source_agrees_with_its_result(self, service, client):
+        """Submitted back to back, the near duplicate misses the cold
+        tiers at submit and may be predicted at dispatch, once the
+        third training app is computed: whichever path answers, the
+        job's source and its result's tier block agree."""
+        jobs = [
+            client.submit(JobRequest(workload=name, method="full_sim"))["job_id"]
+            for name in (*TRAIN, NEAR)
+        ]
+        for job_id in jobs:
+            source = client.wait(job_id, timeout=240.0)["source"]
+            result = client.result(job_id)
+            blocks = {key for key in ("transfer", "predicted") if key in result}
+            assert blocks == {source} & {"transfer", "predicted"}, (source, blocks)
+        assert source == "predicted"
+
     def test_calibrated_near_duplicate_completes_at_submit(
         self, service, client
     ):

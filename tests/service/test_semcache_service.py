@@ -108,6 +108,26 @@ class TestTransferWarmPath:
             service.close()
 
 
+def _provenance(client, job_id) -> tuple[str, set[str]]:
+    """A finished job's source and the tier blocks of its result document."""
+    source = client.wait(job_id, timeout=120.0)["source"]
+    result = client.result(job_id)
+    return source, {block for block in ("transfer", "predicted") if block in result}
+
+
+class TestProvenance:
+    def test_dispatch_time_transfer_is_labelled_transfer(self, service, client):
+        """A near duplicate queued right behind its donor misses the
+        tier at submit (empty index) and is answered by transfer at
+        dispatch; its source must say so, and agree with its result."""
+        jobs = [
+            client.submit(JobRequest(workload=name, method="pka_sim"))["job_id"]
+            for name in (BASE, NEAR)
+        ]
+        assert _provenance(client, jobs[0]) == ("computed", set())
+        assert _provenance(client, jobs[1]) == ("transfer", {"transfer"})
+
+
 class TestUptimeMonotonic:
     def test_uptime_nonnegative_and_advancing(self, service, client):
         first = client.metrics()

@@ -63,12 +63,24 @@ SHRUNK_METRICS = {
 }
 BOUND = (
     "fdtd2d~nd7",
-    {"state": "done", "source": "predicted"},
+    {"state": "done", "source": "predicted", "request": {"workload": "fdtd2d~nd7"}},
     {
         "predicted": {"error_bound": 0.05, "predicted_by": "surrogate"},
         "result": {"total_cycles": 1010.0},
     },
     1000.0,
+)
+TRANSFERRED = (
+    {"state": "done", "source": "transfer", "request": {"workload": "atax~nd1"}},
+    {
+        "result_kind": "app_run",
+        "result": {"total_cycles": 1010.0},
+        "transfer": {"error_bound": 0.2, "transferred_from": ["atax"]},
+    },
+)
+COMPUTED = (
+    {"state": "done", "source": "computed", "request": {"workload": "atax"}},
+    {"result_kind": "app_run", "result": {"total_cycles": 1000.0}},
 )
 LOG = "pka service listening on http://127.0.0.1:1\ndrained 3 job(s); clean=True\n"
 
@@ -130,6 +142,25 @@ CASES = {
     "computed-not-predicted": (
         "check_bound", BOUND, lambda j: j.update(source="computed"), 1,
     ),
+    # A tier's answer labelled as computed (the shape a dispatch-time
+    # transfer once had), and the reverse.
+    "computed-with-transfer-block": (
+        "check_provenance", TRANSFERRED, lambda j: j.update(source="computed"), 0,
+    ),
+    "transfer-without-block": (
+        "check_provenance", TRANSFERRED, lambda r: r.pop("transfer"), 1,
+    ),
+    "cache-with-predicted-block": (
+        "check_provenance", COMPUTED,
+        lambda r: r.update(predicted={"error_bound": 0.1, "predicted_by": "surrogate"}),
+        1,
+    ),
+    "unknown-source": (
+        "check_provenance", COMPUTED, lambda j: j.update(source="memory"), 0,
+    ),
+    "predicted-without-block": (
+        "check_bound", BOUND, lambda r: r.pop("predicted"), 2,
+    ),
     "burst-unbalanced": (
         "check_burst", (BURST_REPORT, BURST_METRICS),
         lambda r: r["reconciliation"].update(balanced=False), 0,
@@ -169,6 +200,14 @@ def test_checker_raises_on_a_bad_report(smoke, case):
     args[index] = _damaged(args[index], damage)
     with pytest.raises((AssertionError, KeyError)):
         getattr(smoke, checker)(*args)
+
+
+def test_provenance_passes_every_agreeing_shape(smoke):
+    for job, result in (TRANSFERRED, COMPUTED):
+        assert smoke.check_provenance(job, result)
+    job, result = copy.deepcopy(COMPUTED)
+    job["source"] = "cache"
+    assert smoke.check_provenance(job, result)
 
 
 def test_drain_and_banner_checks(smoke):
