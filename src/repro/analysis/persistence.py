@@ -279,11 +279,14 @@ class RunKey:
         return self.method if self.gpu is None else f"{self.method}/{self.gpu}"
 
 
+#: Types ``_jsonable`` returns as they are: most payload values are these.
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
 def _jsonable(value):
     """Canonical JSON-compatible form of digest payload values."""
-    if isinstance(value, GPUConfig):
-        # Its fields are scalars: the generic dataclass rendering, memoized.
-        return dict(value.field_items)
+    if type(value) in _JSON_SCALARS:
+        return value
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return _jsonable(dataclasses.asdict(value))
     if isinstance(value, dict):
@@ -295,10 +298,17 @@ def _jsonable(value):
     return value
 
 
+def _canonical_json(payload: object) -> str:
+    return json.dumps(_jsonable(payload), sort_keys=True, separators=(",", ":"))
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def fingerprint(payload: object) -> str:
     """SHA-256 over the canonical JSON rendering of ``payload``."""
-    text = json.dumps(_jsonable(payload), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return _sha256(_canonical_json(payload))
 
 
 def launches_digest(launches: Iterable[KernelLaunch]) -> str:
@@ -374,18 +384,24 @@ def run_digest(
     harness fingerprint (configs, model error, budgets, code version).
     The full ``gpu`` config is hashed — not just its name — so two
     configs that share a name but differ in any parameter never collide.
+
+    The digest is :func:`fingerprint` of the payload below with ``gpu``
+    added.  Sorted, the ``gpu`` key falls between ``context`` and the
+    rest, so its rendering, made once per config
+    (:attr:`GPUConfig.field_json`), is spliced in between the two.
     """
-    return fingerprint(
+    head = _canonical_json({"context": context})
+    tail = _canonical_json(
         {
             "schema": CACHE_SCHEMA_VERSION,
             "version": __version__,
             "key": {"method": key.method, "gpu": key.gpu},
             "workload": workload,
             "launches": launch_digests,
-            "gpu": gpu,
-            "context": context,
         }
     )
+    rendered = "null" if gpu is None else gpu.field_json
+    return _sha256(f'{head[:-1]},"gpu":{rendered},{tail[1:]}')
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from the public datasheets of the respective cards.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
@@ -104,13 +105,17 @@ class GPUConfig:
             raise ConfigurationError("sim_cycles_per_second must be positive")
 
     @cached_property
-    def field_items(self) -> tuple[tuple[str, object], ...]:
-        """``(name, value)`` for every field, in declaration order.
+    def field_json(self) -> str:
+        """Every field as canonical JSON: sorted keys, no spaces.
 
-        Computed once per config (every run-cache digest hashes the full
-        config) and immutable, so no caller can alter what another sees.
+        Computed once per config: every run-cache digest hashes the full
+        config.  A string, so no caller can alter what another sees.
         """
-        return tuple((f.name, getattr(self, f.name)) for f in fields(self))
+        return json.dumps(
+            {f.name: getattr(self, f.name) for f in fields(self)},
+            sort_keys=True,
+            separators=(",", ":"),
+        )
 
     @property
     def dram_bytes_per_cycle(self) -> float:

@@ -10,11 +10,18 @@ and the profilers all consume them.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 from repro.errors import WorkloadError
 
-__all__ = ["InstructionMix", "KernelSpec", "KernelLaunch"]
+__all__ = [
+    "NO_ANNOTATIONS",
+    "InstructionMix",
+    "KernelLaunch",
+    "KernelSpec",
+    "group_by_kernel",
+]
 
 
 @dataclass(frozen=True)
@@ -197,7 +204,33 @@ class KernelSpec:
         return replace(self, mix=mix)
 
 
-@dataclass(frozen=True)
+class _NoAnnotations(dict):
+    """The read-only empty annotation mapping every unannotated launch shares.
+
+    A ``dict``, so it compares equal to ``{}`` and reads and serializes
+    like one; every write raises :class:`TypeError`, so no launch can
+    change another's annotations through it.  Copies and pickles resolve
+    to the one module-level instance.
+    """
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("unannotated launches share a read-only empty mapping")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self) -> str:
+        # The global's name: pickle and copy resolve it to the singleton.
+        return "NO_ANNOTATIONS"
+
+
+#: The annotations of every launch that has none (see :class:`KernelLaunch`).
+NO_ANNOTATIONS = _NoAnnotations()
+
+
+@dataclass(frozen=True, slots=True)
 class KernelLaunch:
     """One dynamic kernel instance: a spec plus a concrete grid.
 
@@ -213,19 +246,26 @@ class KernelLaunch:
         ordering is semantically load-bearing.
     nvtx:
         Optional PyProf-style annotations (layer name, tensor dims) used
-        by the lightweight profiler on MLPerf workloads.
+        by the lightweight profiler on MLPerf workloads.  A launch without
+        any holds the shared read-only :data:`NO_ANNOTATIONS`: a stream
+        of a million launches then pays for no empty dict per launch.
+
+    Slotted, so a launch carries no ``__dict__`` and takes no new
+    attributes.
     """
 
     spec: KernelSpec
     grid_blocks: int
     launch_id: int
-    nvtx: dict[str, str] = field(default_factory=dict)
+    nvtx: dict[str, str] = field(default_factory=lambda: NO_ANNOTATIONS)
 
     def __post_init__(self) -> None:
         if self.grid_blocks < 1:
             raise WorkloadError("grid_blocks must be >= 1")
         if self.launch_id < 0:
             raise WorkloadError("launch_id must be >= 0")
+        if not self.nvtx and self.nvtx is not NO_ANNOTATIONS:
+            object.__setattr__(self, "nvtx", NO_ANNOTATIONS)
 
     @property
     def total_threads(self) -> int:
@@ -248,3 +288,36 @@ class KernelLaunch:
         retires ``32 * e`` thread-level instructions on average.
         """
         return self.thread_instructions / (32.0 * self.spec.divergence_efficiency)
+
+
+def group_by_kernel(
+    launches: Iterable[KernelLaunch],
+) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], KernelLaunch]]:
+    """Launch counts and first launches per ``(spec signature, grid)``.
+
+    Both dicts hold the groups in order of first occurrence.  The stream
+    is keyed by spec identity first, so each distinct spec object's
+    signature is read once rather than once per launch; distinct spec
+    objects with one signature then merge in the same order, so counts
+    and first launches are those of a per-launch signature walk.
+    """
+    # Each group keeps its first launch, and so its spec, alive: no id
+    # can be reused by another spec while the walk runs.
+    by_spec: dict[tuple[int, int], list] = {}
+    for launch in launches:
+        key = (id(launch.spec), launch.grid_blocks)
+        group = by_spec.get(key)
+        if group is None:
+            by_spec[key] = [launch, 1]
+        else:
+            group[1] += 1
+    counts: dict[tuple[int, int], int] = {}
+    firsts: dict[tuple[int, int], KernelLaunch] = {}
+    for launch, count in by_spec.values():
+        key = (launch.spec.signature(), launch.grid_blocks)
+        if key in counts:
+            counts[key] += count
+        else:
+            counts[key] = count
+            firsts[key] = launch
+    return counts, firsts

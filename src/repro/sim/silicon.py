@@ -13,11 +13,11 @@ parallel results are bit-identical to serial ones.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 from repro.errors import ConfigurationError
 from repro.gpu.architectures import GPUConfig
-from repro.gpu.kernels import KernelLaunch
+from repro.gpu.kernels import KernelLaunch, group_by_kernel
 from repro.obs import obs_count, obs_span
 from repro.sim.memory import build_memory_profile
 from repro.sim.parallel import (
@@ -89,7 +89,8 @@ class SiliconExecutor:
         ``simulated_cycles`` is zero — silicon pays no simulation cost;
         real time comes from :attr:`AppRunResult.silicon_seconds`.
         """
-        launches = list(launches)
+        if not isinstance(launches, Sequence):
+            launches = list(launches)
         with obs_span(
             "silicon.run",
             workload=workload_name,
@@ -132,13 +133,14 @@ class SiliconExecutor:
             kernel_records=tuple(records),
         )
 
-    def _prefetch_parallel(self, launches: list[KernelLaunch]) -> None:
+    def _prefetch_parallel(self, launches: Sequence[KernelLaunch]) -> None:
         """Price distinct, not-yet-memoized kernels across the backend."""
-        pending: dict[tuple[int, int], KernelLaunch] = {}
-        for launch in launches:
-            key = (launch.spec.signature(), launch.grid_blocks)
-            if key not in self._cycle_cache and key not in pending:
-                pending[key] = launch
+        _, firsts = group_by_kernel(launches)
+        pending = {
+            key: launch
+            for key, launch in firsts.items()
+            if key not in self._cycle_cache
+        }
         if len(pending) < 2:
             return
         batches = chunked(

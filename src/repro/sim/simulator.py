@@ -16,14 +16,14 @@ Wraps the per-kernel discrete-event engine with
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.gpu.architectures import GPUConfig
-from repro.gpu.kernels import KernelLaunch
+from repro.gpu.kernels import KernelLaunch, group_by_kernel
 from repro.obs import obs_count, obs_span
 from repro.sim.engine import (
     DEFAULT_WINDOW_CYCLES,
@@ -242,7 +242,8 @@ class Simulator:
         launches fall inside the budget depends on the results of the
         ones before them.
         """
-        launches = list(launches)
+        if not isinstance(launches, Sequence):
+            launches = list(launches)
         with obs_span(
             "sim.run_full",
             workload=workload_name,
@@ -261,18 +262,10 @@ class Simulator:
             # accumulate each distinct kernel's contribution once.  The
             # accumulation order is fixed by the stream itself — never by
             # the backend — so serial and sharded runs agree bitwise.
-            counts: dict[tuple[int, int], int] = {}
-            reps: dict[tuple[int, int], KernelLaunch] = {}
-            for launch in launches:
-                key = (launch.spec.signature(), launch.grid_blocks)
-                if key in counts:
-                    counts[key] += 1
-                else:
-                    counts[key] = 1
-                    reps[key] = launch
+            counts, reps = group_by_kernel(launches)
             obs_count("sim.intra.stream_groups", len(reps))
             if self.backend.jobs > 1:
-                self._prefetch_parallel(list(reps.values()))
+                self._prefetch_parallel(reps)
             results = {key: self.run_kernel(rep) for key, rep in reps.items()}
             total_cycles = 0.0
             total_insts = 0.0
@@ -315,7 +308,7 @@ class Simulator:
     def _run_budgeted(
         self,
         workload_name: str,
-        launches: list[KernelLaunch],
+        launches: Sequence[KernelLaunch],
         *,
         keep_records: bool,
         max_simulated_cycles: float,
@@ -361,19 +354,20 @@ class Simulator:
             kernel_records=tuple(records),
         )
 
-    def _prefetch_parallel(self, launches: list[KernelLaunch]) -> None:
+    def _prefetch_parallel(self, reps: dict[tuple[int, int], KernelLaunch]) -> None:
         """Fan distinct, not-yet-memoized kernels out across the backend.
 
+        ``reps`` is :func:`group_by_kernel`'s first launch per kernel.
         Per-kernel simulation is a pure function of (spec, grid, GPU,
         model error), so workers compute exactly what the serial path
         would have and the results land in the same memo table the
         serial accumulation reads.
         """
-        pending: dict[tuple[int, int], KernelLaunch] = {}
-        for launch in launches:
-            key = (launch.spec.signature(), launch.grid_blocks)
-            if key not in self._full_run_cache and key not in pending:
-                pending[key] = launch
+        pending = {
+            key: launch
+            for key, launch in reps.items()
+            if key not in self._full_run_cache
+        }
         if len(pending) < 2:
             return
         with obs_span("sim.prefetch", distinct_kernels=len(pending)):

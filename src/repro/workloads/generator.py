@@ -87,7 +87,8 @@ class LaunchBuilder:
 
     def launches(self) -> list[KernelLaunch]:
         """A fresh list of the launches added so far."""
-        return self.table().launches()
+        # The table is new and private, so its own list needs no copy.
+        return self.table()._materialise()
 
     def __len__(self) -> int:
         return len(self._row_index)

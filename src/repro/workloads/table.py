@@ -16,7 +16,9 @@ list is stored as columns:
 
 :class:`LaunchTable` is a read-only ``Sequence[KernelLaunch]``: ``len()``
 reads the row index, while iteration, indexing and slicing materialise
-the :class:`KernelLaunch` list once and reuse it.  Per-row work (cache-key
+the :class:`KernelLaunch` list once and reuse it.  An annotated launch
+gets a fresh dict of its own; an unannotated one the shared read-only
+:data:`~repro.gpu.kernels.NO_ANNOTATIONS`.  Per-row work (cache-key
 digests) runs over the rows and never builds a launch.
 """
 
@@ -25,7 +27,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
 
-from repro.gpu.kernels import KernelLaunch, KernelSpec
+from repro.gpu.kernels import NO_ANNOTATIONS, KernelLaunch, KernelSpec
 
 __all__ = ["LaunchTable"]
 
@@ -173,7 +175,9 @@ class LaunchTable(Sequence[KernelLaunch]):
         if launches is None:
             shapes = self.shapes()
             launches = self._launches = [
-                KernelLaunch(spec, grid, launch_id, dict(items) if items else {})
+                KernelLaunch(
+                    spec, grid, launch_id, dict(items) if items else NO_ANNOTATIONS
+                )
                 for launch_id, (spec, grid, items) in zip(
                     self.ids(), map(shapes.__getitem__, self.row_index)
                 )

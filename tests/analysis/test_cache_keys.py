@@ -19,11 +19,16 @@ from hypothesis import strategies as st
 
 from repro.analysis import EvaluationHarness
 from repro.analysis.persistence import (
+    CACHE_SCHEMA_VERSION,
+    RunKey,
     _jsonable,
     dump_run,
     dump_selection,
+    fingerprint,
     launches_digest,
+    run_digest,
 )
+from repro import __version__
 from repro.gpu import ALL_GPUS, InstructionMix, KernelLaunch, KernelSpec
 from repro.gpu import volta_v100_half_sms
 from repro.workloads import LaunchBuilder, LaunchTable, get_workload, workload_names
@@ -321,3 +326,42 @@ def test_gpu_rendering_memo_is_canonical_and_fresh(gpu):
     assert json.dumps(first, sort_keys=True) == expected
     first["num_sms"] = -1  # a caller's edit must not reach the memo
     assert json.dumps(_jsonable(gpu), sort_keys=True) == expected
+    # The rendering run_digest splices is the canonical one, compact.
+    assert json.loads(gpu.field_json) == json.loads(expected)
+    assert gpu.field_json == json.dumps(
+        json.loads(expected), sort_keys=True, separators=(",", ":")
+    )
+
+
+@given(
+    gpu=st.sampled_from([None, *ALL_GPUS, volta_v100_half_sms()]),
+    method=st.text(max_size=12),
+    workload=st.text(max_size=12),
+    launch_digests=st.dictionaries(st.text(max_size=8), st.text(max_size=8), max_size=3),
+    context=st.text(max_size=12),
+)
+@settings(max_examples=80, deadline=None)
+def test_run_digest_is_the_fingerprint_of_its_payload(
+    gpu, method, workload, launch_digests, context
+):
+    """The spliced GPU rendering gives the bytes of the whole payload's
+    canonical rendering, quotes, escapes and non-ASCII text included."""
+    key = RunKey(method, None if gpu is None else gpu.name)
+    reference = fingerprint(
+        {
+            "schema": CACHE_SCHEMA_VERSION,
+            "version": __version__,
+            "key": {"method": key.method, "gpu": key.gpu},
+            "workload": workload,
+            "launches": launch_digests,
+            "gpu": gpu,
+            "context": context,
+        }
+    )
+    assert reference == run_digest(
+        key,
+        workload=workload,
+        launch_digests=launch_digests,
+        gpu=gpu,
+        context=context,
+    )

@@ -45,6 +45,17 @@ class TestSiliconExecutor:
         assert result.method == "silicon"
         assert result.simulated_cycles == 0.0
 
+    def test_a_one_shot_iterator_runs_like_its_list(
+        self, compute_launch, memory_launch
+    ):
+        launches = [compute_launch, memory_launch, compute_launch]
+        listed = SiliconExecutor(VOLTA_V100).run("app", launches, keep_records=True)
+        streamed = SiliconExecutor(VOLTA_V100).run(
+            "app", iter(launches), keep_records=True
+        )
+        assert streamed == listed
+        assert len(streamed.kernel_records) == 3
+
     def test_records_optional(self, volta_silicon, compute_launch):
         without = volta_silicon.run("app", [compute_launch])
         with_records = volta_silicon.run(

@@ -139,6 +139,17 @@ class TestRunFull:
         assert truncated.simulated_cycles < complete.simulated_cycles
         assert truncated.total_cycles < complete.total_cycles
 
+    def test_a_one_shot_iterator_runs_like_its_list(
+        self, compute_launch, memory_launch
+    ):
+        launches = [compute_launch, memory_launch, compute_launch]
+        listed = Simulator(VOLTA_V100).run_full("app", launches, keep_records=True)
+        streamed = Simulator(VOLTA_V100).run_full(
+            "app", iter(launches), keep_records=True
+        )
+        assert streamed == listed
+        assert len(streamed.kernel_records) == 3
+
     def test_keep_records(self, volta_simulator, compute_launch):
         result = volta_simulator.run_full(
             "app", [compute_launch], keep_records=True

@@ -9,10 +9,13 @@ materialised launches field by field.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from repro.gpu import KernelLaunch
 from repro.gpu.architectures import GENERATIONS
+from repro.gpu.kernels import NO_ANNOTATIONS
 from repro.workloads import (
     LaunchBuilder,
     LaunchTable,
@@ -49,8 +52,23 @@ def _bare(table: LaunchTable) -> LaunchTable:
     )
 
 
+def assert_annotations_unshared(launches) -> None:
+    """No launch can change another's annotations.
+
+    Every non-empty annotation dict is its launch's own, and every empty
+    one is the shared mapping, which takes no writes.
+    """
+    annotated = [launch.nvtx for launch in launches if launch.nvtx]
+    assert len({id(nvtx) for nvtx in annotated}) == len(annotated)
+    assert all(type(nvtx) is dict for nvtx in annotated)
+    assert all(launch.nvtx is NO_ANNOTATIONS for launch in launches if not launch.nvtx)
+    with pytest.raises(TypeError):
+        NO_ANNOTATIONS["layer"] = "x"
+    assert NO_ANNOTATIONS == {}
+
+
 def assert_same_launches(launches, reference, *, same_specs=True) -> None:
-    """Field-for-field equality, one fresh annotation dict per launch.
+    """Field-for-field equality; no launch shares another's annotations.
 
     ``same_specs`` demands the very spec objects of the reference;
     otherwise specs must be equal and shared by the same launches.
@@ -68,7 +86,7 @@ def assert_same_launches(launches, reference, *, same_specs=True) -> None:
             assert spec_pairs.setdefault(id(expected.spec), id(launch.spec)) == id(
                 launch.spec
             )
-    assert len({id(launch.nvtx) for launch in launches}) == len(launches)
+    assert_annotations_unshared(launches)
     if not same_specs:
         assert len(set(spec_pairs.values())) == len(spec_pairs)
 
@@ -97,7 +115,7 @@ class TestSequence:
         assert [launch.grid_blocks for launch in launches] == [4, 4, 4, 8, 4]
         assert [launch.spec.name for launch in launches] == ["a", "a", "a", "b", "a"]
         assert launches[0].nvtx == {"layer": "x"} and launches[3].nvtx == {}
-        assert len({id(launch.nvtx) for launch in launches}) == 5
+        assert_annotations_unshared(launches)
 
     def test_launches_is_a_fresh_list(self):
         table = _table()
@@ -110,6 +128,23 @@ class TestSequence:
         with pytest.raises(TypeError):
             table[0] = table[1]
         assert not hasattr(table, "append")
+
+    def test_a_materialised_launch_is_small(self):
+        """A launch costs at most 120 B: its slotted object, its id and
+        its list slot; an unannotated launch owns no annotation dict."""
+        builder = LaunchBuilder()
+        for index in range(8):
+            builder.add(tiny_spec(f"k{index}"), 4 + index, repeat=25_000)
+        table = builder.table()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table[0]  # materialises every launch
+            cost = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 200_000
+        assert cost / len(table) <= 120, cost / len(table)
 
     def test_equals_a_list_of_the_same_launches(self):
         table = _table()
