@@ -78,6 +78,16 @@ def check_fleet_load(report: dict, metrics: dict) -> str:
     return "worker SIGKILL: zero jobs lost, accounting balanced"
 
 
+def check_deadline_kill(job: dict, metrics: dict, deaths_before: float) -> str:
+    """A job that hangs past ``--task-timeout`` has its worker killed and
+    is re-dispatched; the transient hang clears on the second attempt."""
+    assert job["state"] == "done", job
+    assert job["redispatches"] == 1, job
+    deaths = metrics["counters"].get("fleet.worker_deaths", 0)
+    assert deaths > deaths_before, (deaths_before, metrics["counters"])
+    return "hung job: worker killed at its deadline, job re-dispatched and done"
+
+
 def _open_states(metrics: dict) -> dict:
     return {s: n for s, n in metrics["states"].items() if s not in TERMINAL}
 
@@ -221,12 +231,19 @@ def service(workdir: Path):
 
 
 def fleet(workdir: Path):
-    server = Server(workdir, "--workers", "2")
+    server = Server(workdir, "--workers", "2", "--task-timeout", "1")
     report = loadgen(
         server, workdir, "--jobs", "20", "--duplicate-ratio", "0.5", "--seed", "23",
         "--workloads", "gauss_208,histo,fdtd2d", "--chaos", "kill-worker@0.5",
     )
     yield check_fleet_load(report, report["server_metrics"])
+    deaths = server.client.metrics()["counters"].get("fleet.worker_deaths", 0)
+    out = pka(
+        "submit", "--port", str(server.port), "--no-wait", "--fault", "hang",
+        "histo", "silicon",
+    )
+    job = server.client.wait(re.search(r"job (j\S+):", out).group(1), timeout=60.0)
+    yield check_deadline_kill(job, server.client.metrics(), deaths)
     out = pka("submit", "--port", str(server.port), "--no-wait", "atax", "silicon")
     job_id = re.search(r"job (j\S+):", out).group(1)
     server.proc.kill()  # the coordinator alone: its workers must notice

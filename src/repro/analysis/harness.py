@@ -652,9 +652,7 @@ class EvaluationHarness:
 
     def silicon(self, gpu: GPUConfig) -> SiliconExecutor:
         if gpu.name not in self._silicon:
-            self._silicon[gpu.name] = SiliconExecutor(
-                gpu, backend=self._intra_backend
-            )
+            self._silicon[gpu.name] = SiliconExecutor(gpu)
         return self._silicon[gpu.name]
 
     def simulator(self, gpu: GPUConfig) -> Simulator:

@@ -38,7 +38,7 @@ Commands
     a JSON HTTP job API over the harness with single-flight dedup,
     batching, cache-aware fast paths and graceful drain on
     SIGTERM/SIGINT.  ``--workers N`` enables fleet mode: N supervised
-    worker processes with heartbeat liveness, dead-worker re-dispatch,
+    worker processes with exit-or-deadline liveness, re-dispatch,
     poison-job quarantine, and a crash-safe job journal for durable
     recovery across coordinator restarts (``docs/OPERATIONS.md``).
     ``--workers auto`` (or ``--min-workers``/``--max-workers``) makes
@@ -654,7 +654,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             drain_timeout=args.drain_timeout,
             workers=workers,
             journal_path=journal_path,
-            heartbeat_timeout=args.heartbeat_timeout,
             retry_after=args.retry_after,
             autoscale=autoscale,
             default_deadline=args.default_deadline,
@@ -1024,8 +1023,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="fault policy: retries per failing cell, and re-dispatches "
-        "per job after fleet worker deaths (default 2)",
+        help="fault policy: retries per failing cell; in fleet mode, "
+        "re-dispatches per job after failed attempts (default 2)",
     )
     common.add_argument(
         "--task-timeout",
@@ -1274,14 +1273,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-journal",
         action="store_true",
         help="disable the job journal even in fleet mode",
-    )
-    serve.add_argument(
-        "--heartbeat-timeout",
-        type=float,
-        default=10.0,
-        metavar="SECONDS",
-        help="declare a fleet worker dead after this long without a "
-        "heartbeat (hung-worker detection)",
     )
     serve.add_argument(
         "--retry-after",

@@ -14,7 +14,6 @@ from repro.predict.analytical import (
     AppEstimate,
     GroupEstimate,
     ResidualCalibration,
-    group_stream,
     price_app,
 )
 from repro.predict.surrogate import CycleSurrogate, TrainingRow
@@ -37,6 +36,5 @@ __all__ = [
     "PredictedResult",
     "ResidualCalibration",
     "TrainingRow",
-    "group_stream",
     "price_app",
 ]

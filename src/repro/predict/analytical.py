@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 from repro.gpu.architectures import GPUConfig
-from repro.gpu.kernels import KernelLaunch
+from repro.gpu.kernels import KernelLaunch, group_by_kernel
 from repro.profiling.detailed import collect_counters
 from repro.sim.perfmodel import (
     KERNEL_LAUNCH_OVERHEAD,
@@ -48,7 +48,6 @@ __all__ = [
     "AppEstimate",
     "GroupEstimate",
     "ResidualCalibration",
-    "group_stream",
     "price_app",
 ]
 
@@ -101,30 +100,6 @@ class AppEstimate:
         return tuple(group.cycle_mass / mass for group in self.groups)
 
 
-def group_stream(
-    launches: list[KernelLaunch],
-) -> list[tuple[KernelLaunch, int]]:
-    """Collapse a launch stream into (representative, count) groups.
-
-    Grouping is by (spec signature, grid blocks) in first-occurrence
-    order — exactly the memoization key of the simulator's full-run
-    cache, so analytical groups and DES ground-truth entries align
-    one-to-one.
-    """
-    order: list[tuple[int, int]] = []
-    reps: dict[tuple[int, int], KernelLaunch] = {}
-    counts: dict[tuple[int, int], int] = {}
-    for launch in launches:
-        key = (launch.spec.signature(), launch.grid_blocks)
-        if key in counts:
-            counts[key] += 1
-        else:
-            order.append(key)
-            reps[key] = launch
-            counts[key] = 1
-    return [(reps[key], counts[key]) for key in order]
-
-
 def price_app(
     launches: list[KernelLaunch],
     gpu: GPUConfig,
@@ -136,13 +111,18 @@ def price_app(
     deterministic modeling bias (so the estimate targets what the DES
     would report, not silicon); instructions and DRAM bytes from the
     same shared perf model the engine integrates over — those two are
-    exact, only cycles carry the stochastic-makespan residual.
+    exact, only cycles carry the stochastic-makespan residual.  Groups
+    are :func:`~repro.gpu.kernels.group_by_kernel`'s, the simulator's
+    full-run memo key, so analytical groups and DES ground-truth entries
+    align one-to-one.
     """
     groups: list[GroupEstimate] = []
     total_cycles = 0.0
     total_insts = 0.0
     total_bytes = 0.0
-    for rep, count in group_stream(launches):
+    counts, reps = group_by_kernel(launches)
+    for key, rep in reps.items():
+        count = counts[key]
         perf = analyze_kernel(rep, gpu)
         bias = kernel_bias_factor(rep.spec, model_error)
         cycles = analytic_kernel_cycles(rep, gpu) * bias

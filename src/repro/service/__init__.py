@@ -10,8 +10,8 @@ free, like everything else in the repo.
 **Fleet mode** adds three robustness layers: a crash-safe append-only
 :class:`JobJournal` (durable job recovery across coordinator restarts),
 a :class:`WorkerSupervisor` (N supervised worker processes with
-heartbeat liveness, dead-worker re-dispatch, poison-job quarantine, and
-exponential-backoff respawn), and overload degradation (queue shedding
+exit-or-deadline liveness, re-dispatch of failed attempts, poison-job
+quarantine, and exponential-backoff respawn), and overload degradation (queue shedding
 with ``Retry-After``, warm-cache-only circuit breaker while all workers
 are down).
 

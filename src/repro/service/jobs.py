@@ -211,11 +211,12 @@ class JobRecord:
     #: span for the ``/metricsz`` queue-age percentiles.
     queue_wait_ms: float | None = None
     dedup_hits: int = 0
-    #: Times this job was re-dispatched after its worker died mid-run.
-    #: Each death costs one attempt of the harness's one
-    #: :class:`~repro.sim.parallel.FaultPolicy` retry budget
-    #: (``max_retries``); a job that exhausts it goes to poison
-    #: quarantine (``failed`` with the crash evidence attached).
+    #: Times this job was re-dispatched after a failed attempt (a
+    #: reported exception, a worker death or a deadline kill).  Each
+    #: dispatch is one attempt of the harness's one
+    #: :class:`~repro.sim.parallel.FaultPolicy` budget (``max_retries``);
+    #: a job whose last attempt dies or is killed goes to poison
+    #: quarantine (``failed`` with the evidence attached).
     redispatches: int = 0
     outcome: Any = None
 

@@ -586,9 +586,9 @@ class Scheduler:
         evidence: dict | None = None,
         count: bool = True,
     ) -> bool:
-        """Put an in-flight job back at the front of the queue after its
-        worker died.  ``count=False`` is for dispatch backouts (no
-        worker actually failed the job)."""
+        """Put an in-flight job back at the front of the queue after a
+        failed attempt.  ``count=False`` is for dispatch backouts (no
+        attempt was made)."""
         with self._lock:
             if record.terminal:
                 return False
@@ -607,8 +607,9 @@ class Scheduler:
         return True
 
     def quarantine(self, record: JobRecord, evidence: dict) -> None:
-        """Poison-job terminal state: this job killed its worker once per
-        redispatch allowed by the budget; fail it with the evidence."""
+        """Poison-job terminal state: the job's last attempt the budget
+        allowed lost its worker (died or killed); fail it with the
+        evidence."""
         obs_count("service.jobs_quarantined")
         self._complete(
             record,
@@ -617,8 +618,9 @@ class Scheduler:
                 "kind": "quarantined",
                 "error_type": "WorkerCrashError",
                 "message": (
-                    f"job killed {record.redispatches + 1} worker(s); "
-                    "quarantined after exhausting its redispatch budget"
+                    f"attempt {record.redispatches + 1} lost its worker "
+                    f"({evidence['reason']}); quarantined after exhausting "
+                    "its redispatch budget"
                 ),
                 "evidence": evidence,
             },

@@ -256,7 +256,6 @@ class PKAService:
         drain_timeout: float = 30.0,
         workers: int = 0,
         journal_path: str | None = None,
-        heartbeat_timeout: float = 10.0,
         respawn_backoff: float = 0.25,
         retry_after: float = 1.0,
         autoscale: AutoscalerConfig | None = None,
@@ -280,7 +279,6 @@ class PKAService:
             WorkerSupervisor(
                 harness,
                 workers,
-                heartbeat_timeout=heartbeat_timeout,
                 respawn_backoff=respawn_backoff,
             )
             if workers > 0

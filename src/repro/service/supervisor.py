@@ -2,29 +2,33 @@
 
 Fleet mode splits the service into a **coordinator** (the HTTP process:
 admission, single-flight dedup, the journal) and N **worker processes**
-that actually compute cells.  The supervisor owns everything about the
-workers' lives:
+that actually compute cells.  Each worker sits in a seat of the same
+kind the process pool uses (:mod:`repro.sim.parallel`): one process with
+its own task queue and its own result pipe, holding at most one job.
+The supervisor owns everything about the workers' lives:
 
 * **Dispatch** — an idle worker pulls the next job from the scheduler's
-  fair queue; each worker holds at most one job at a time, so in-flight
-  accounting is exact and a dead worker orphans exactly the jobs it was
-  visibly running.  Dispatch is event-driven: a worker that frees up,
-  is (re)spawned, or is resurrected from draining wakes the dispatcher,
-  so it gets the next queued job immediately rather than on a poll.
-* **Liveness** — workers heartbeat on a side channel; a worker whose
-  process exited *or* whose heartbeat went stale (hung) is declared
-  dead and killed.
-* **Recovery** — a dead worker's in-flight job is re-dispatched to the
-  front of the queue.  Each dead worker costs its job one attempt of the
-  harness's :class:`~repro.sim.parallel.FaultPolicy` — the same
-  ``max_retries`` budget the process pool charges crashes against; a
-  job that keeps killing workers is routed to **poison quarantine** (a
-  typed ``failed`` terminal state carrying the crash evidence) instead
-  of crash-looping the fleet — mirroring the run cache's corrupt-entry
-  quarantine posture.
+  fair queue, so in-flight accounting is exact and a dead worker orphans
+  exactly the job it held.  Dispatch is event-driven: a worker that
+  frees up, is (re)spawned, or is resurrected from draining wakes the
+  dispatcher, so it gets the next queued job immediately.
+* **Liveness** — one rule: process exit or job deadline, nothing else.
+  One coordinator loop waits on every worker's result pipe and process
+  sentinel.  A worker is dead when its sentinel fires or its pipe hits
+  EOF; it is overdue when its job has run longer than the fault
+  policy's ``timeout_seconds`` since dispatch, and is then killed.
+* **Recovery** — each dispatch is exactly one attempt, and every failed
+  attempt (an exception the worker reports, a worker death, a deadline
+  kill) is charged against the harness's one
+  :class:`~repro.sim.parallel.FaultPolicy` ``max_retries`` budget, as
+  the pool charges its tasks.  While attempts remain the job goes back
+  to the front of the queue; once they run out an exception fails the
+  job with the worker's cell-failure record, and a death or kill routes
+  it to **poison quarantine** (a typed ``failed`` terminal state
+  carrying the evidence) instead of crash-looping the fleet.
 * **Respawn** — dead workers are respawned with exponential backoff
-  (consecutive deaths back off further; a successful job resets the
-  streak), so a systemic failure cannot fork-bomb the host.
+  (consecutive deaths back off further; a reply resets the streak), so
+  a systemic failure cannot fork-bomb the host.
 
 When *every* worker is down the scheduler's circuit breaker flips the
 service to warm-cache-only mode (see ``Scheduler.submit``); the
@@ -33,9 +37,8 @@ the 503 ``Retry-After`` header.
 
 Workers are not daemonic, so a cell may start its intra-run pool in one.
 A drain stops them; an ``atexit`` hook kills them if the coordinator
-exits without stopping; after a SIGKILL they (and their pool workers)
-watch ``getppid`` and exit.  They are started, killed and collected
-through the primitive :mod:`repro.sim.parallel` shares with the pool.
+exits without stopping; after a SIGKILL they exit once idle, as pool
+workers do.
 """
 
 from __future__ import annotations
@@ -45,91 +48,78 @@ import os
 import queue as queue_mod
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from multiprocessing.connection import wait
+from typing import TYPE_CHECKING
 
 from repro.analysis.harness import CellFailure, CellOutcome, EvaluationHarness
 from repro.obs import obs_count
 from repro.service.jobs import JobRecord, parse_job_fault
 from repro.sim.faults import FaultPlan, InjectedFault
-from repro.sim.parallel import kill_worker, reap_worker, spawn_worker, worker_context
+from repro.sim.parallel import FAIL_FAST, _Seat, kill_worker, worker_context
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.service.scheduler import Scheduler
 
 __all__ = ["WorkerSupervisor"]
 
+#: Longest the coordinator and the dispatcher sleep before looking again
+#: at what no handle signals: respawn backoffs, drain deadlines, a
+#: grown slot, a stop.
+_BACKSTOP = 0.1
+
 
 def _worker_main(
     worker_id: int,
     generation: int,
     task_queue,
-    event_queue,
+    send,
     harness_spec: dict,
-    heartbeat_interval: float,
-    parent_pid: int,
+    owner: int,
 ) -> None:
-    """Fleet worker: compute one job at a time with a local harness.
+    """Fleet worker: one attempt per job with a local harness, until ``None``.
 
-    Runs a daemon heartbeat thread that also watches the parent pid —
-    if the coordinator dies (even SIGKILL), the worker exits instead of
-    leaking.  Injected "crash" faults run with ``crash_in_process=True``
-    so they genuinely ``os._exit`` this process: that is how poison jobs
-    kill real workers and exercise the supervisor.  Retries and the
-    per-attempt timeout follow the coordinator's fault policy.
+    A task is ``(job_id, cell, fault_kind, fault_attempts)``.  The cell
+    runs with no retries and no in-process timeout: the coordinator
+    charges failed attempts and enforces the deadline.  Injected "crash"
+    faults run with ``crash_in_process=True`` so they genuinely
+    ``os._exit`` this process, and injected hangs sleep past the
+    coordinator's deadline: that is how poison jobs exercise the
+    supervisor.  ``send`` replies on this worker's own pipe.  A worker
+    whose ``owner`` died without reaping it exits once idle.
     """
     harness = EvaluationHarness(**harness_spec)
-    stop = threading.Event()
-
-    def beat() -> None:
-        while not stop.is_set():
-            if os.getppid() != parent_pid:
-                os._exit(0)  # coordinator died; do not leak
-            try:
-                event_queue.put(
-                    ("heartbeat", worker_id, generation, os.getpid())
-                )
-            except Exception:
-                os._exit(0)
-            stop.wait(heartbeat_interval)
-
-    threading.Thread(target=beat, name="pka-worker-beat", daemon=True).start()
-    try:
-        while True:
-            task = task_queue.get()
-            if task is None:
-                break
-            job_id, cell, fault_kind, fault_attempts = task
-            plan = None
-            if fault_kind is not None and fault_attempts >= 1:
-                plan = FaultPlan(
-                    faults=(
-                        InjectedFault(
-                            task_index=0,
-                            kind=fault_kind,
-                            attempts=fault_attempts,
-                        ),
-                    )
-                )
-            answers = []
-            [result] = harness.evaluate_cells(
-                [cell],
-                strict=False,
-                fault_plan=plan,
-                crash_in_process=True,
-                progress=answers.append,
+    hang = harness.fault_policy.hang_seconds()
+    while True:
+        try:
+            task = task_queue.get(timeout=1.0)
+        except queue_mod.Empty:
+            if os.getppid() != owner:
+                return
+            continue
+        if task is None:
+            return
+        job_id, cell, fault_kind, fault_attempts = task
+        plan = None
+        if fault_kind is not None:
+            plan = FaultPlan(
+                faults=(InjectedFault(0, fault_kind, fault_attempts, hang),)
             )
-            if not isinstance(result, CellFailure):
-                result = answers[0].value  # the cell's CellOutcome
-            event_queue.put(
-                ("finished", worker_id, generation, job_id, _serialize_result(result))
-            )
-    finally:
-        stop.set()
+        answers = []
+        [result] = harness.evaluate_cells(
+            [cell],
+            strict=False,
+            fault_policy=FAIL_FAST,
+            fault_plan=plan,
+            crash_in_process=True,
+            progress=answers.append,
+        )
+        if not isinstance(result, CellFailure):
+            result = answers[0].value  # the cell's CellOutcome
+        send(("finished", worker_id, generation, job_id, _serialize_result(result)))
 
 
 def _serialize_result(result: CellOutcome | CellFailure) -> dict:
-    """Portable (queue-safe) rendering of one cell's outcome or failure."""
+    """Portable (pipe-safe) rendering of one cell's outcome or failure."""
     if isinstance(result, CellFailure):
         return {
             "ok": False,
@@ -142,43 +132,48 @@ def _serialize_result(result: CellOutcome | CellFailure) -> dict:
 _deserialize_result = CellOutcome.load
 
 
-@dataclass
-class _WorkerSlot:
-    """Coordinator-side bookkeeping for one worker seat."""
+class _WorkerSlot(_Seat):
+    """One fleet seat: the worker, the job it holds (``held``), and the
+    coordinator's bookkeeping for its lives."""
 
-    worker_id: int
-    process: Any = None
-    task_queue: Any = None
-    generation: int = 0
-    pid: int | None = None
-    last_heartbeat: float = 0.0
-    current: JobRecord | None = None
-    consecutive_deaths: int = 0
-    respawn_at: float = 0.0
-    deaths: int = 0
-    completed: int = 0
-    last_exit: dict | None = field(default=None)
-    #: Scale-down in progress: no new dispatch; the in-flight job (if
-    #: any) finishes — deadline-bounded by ``drain_deadline`` — before
-    #: the slot retires.
-    draining: bool = False
-    drain_deadline: float = 0.0
-    #: Retired slots stay in the list (worker ids index it) but are
-    #: never dispatched to, never respawned, and not counted as
-    #: configured capacity.
-    retired: bool = False
+    __slots__ = (
+        "consecutive_deaths", "respawn_at", "deaths", "completed", "last_exit",
+        "draining", "drain_deadline", "retired",
+    )
+
+    def __init__(self, worker_id: int) -> None:
+        super().__init__(worker_id)
+        self.consecutive_deaths = 0
+        self.respawn_at = 0.0
+        self.deaths = 0
+        self.completed = 0
+        self.last_exit: dict | None = None
+        #: Scale-down in progress: no new dispatch; the held job (if
+        #: any) finishes — bounded by ``drain_deadline`` — before the
+        #: slot retires.
+        self.draining = False
+        self.drain_deadline = 0.0
+        #: Retired slots stay in the list (worker ids index it) but are
+        #: never dispatched to, never respawned, and not counted as
+        #: configured capacity.
+        self.retired = False
+
+    @property
+    def pid(self) -> int | None:
+        return None if self.process is None else self.process.pid
+
+    @property
+    def alive(self) -> bool:
+        return self.process is not None and self.process.is_alive()
 
     def snapshot(self, now: float) -> dict:
-        alive = self.process is not None and self.process.is_alive()
+        alive = self.alive
         return {
             "worker_id": self.worker_id,
             "pid": self.pid,
             "alive": alive,
             "generation": self.generation,
-            "heartbeat_age_s": (
-                round(now - self.last_heartbeat, 3) if alive else None
-            ),
-            "current_job": self.current.job_id if self.current else None,
+            "current_job": self.held.job_id if self.held else None,
             "deaths": self.deaths,
             "completed": self.completed,
             "respawn_in_s": (
@@ -205,22 +200,17 @@ class WorkerSupervisor:
         harness: EvaluationHarness,
         workers: int = 2,
         *,
-        heartbeat_interval: float = 0.2,
-        heartbeat_timeout: float = 10.0,
         respawn_backoff: float = 0.25,
         respawn_backoff_cap: float = 5.0,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.harness = harness
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_timeout = heartbeat_timeout
         self.respawn_backoff = respawn_backoff
         self.respawn_backoff_cap = respawn_backoff_cap
         self.scheduler: "Scheduler" | None = None
         self._ctx = worker_context()
-        self._events = self._ctx.Queue()
-        self._slots = [_WorkerSlot(worker_id=i) for i in range(workers)]
+        self._slots = [_WorkerSlot(i) for i in range(workers)]
         self._lock = threading.RLock()
         #: Signalled (under ``_lock``) by every transition that can make
         #: a slot dispatchable, and by ``stop()``.
@@ -259,15 +249,13 @@ class WorkerSupervisor:
             raise RuntimeError("WorkerSupervisor.start() before bind()")
         self._started = True
         atexit.register(self.stop, kill=True)
-        now = time.monotonic()
         with self._lock:
             for slot in self._slots:
                 if not slot.retired:
-                    self._spawn_locked(slot, now)
+                    self._spawn_locked(slot)
         for target, name in (
             (self._dispatch_loop, "pka-fleet-dispatch"),
-            (self._event_loop, "pka-fleet-events"),
-            (self._monitor_loop, "pka-fleet-monitor"),
+            (self._coordinate, "pka-fleet-coordinator"),
         ):
             thread = threading.Thread(target=target, name=name, daemon=True)
             thread.start()
@@ -275,52 +263,30 @@ class WorkerSupervisor:
 
     def stop(self, *, kill: bool = False) -> None:
         """Stop the fleet.  Graceful by default (sentinel + join); with
-        ``kill=True`` workers are terminated immediately."""
+        ``kill=True`` workers are killed immediately.  Either way every
+        worker is collected before this returns."""
         atexit.unregister(self.stop)
         with self._lock:
             self._stop.set()
             self._dispatchable.notify_all()
-            slots = list(self._slots)
-        for slot in slots:
-            process = slot.process
-            if process is None:
-                continue
-            if kill:
-                kill_worker(process)
-            else:
-                try:
-                    slot.task_queue.put(None)
-                except Exception:
-                    pass
-        deadline = time.monotonic() + (0.5 if kill else 5.0)
-        for slot in slots:
-            process = slot.process
-            if process is None:
-                continue
-            reap_worker(process, grace=max(0.0, deadline - time.monotonic()))
-            slot.process = None
+        # The loops exit within a backstop; after that nothing else puts
+        # a worker down or waits on its handles.
         for thread in self._threads:
             thread.join(timeout=2.0)
         self._threads.clear()
+        with self._lock:
+            for slot in self._slots:
+                if slot.process is not None:
+                    slot.put_down(kill=kill)
 
-    # ------------------------------------------------------------------
-    # Spawning
-
-    def _spawn_locked(self, slot: _WorkerSlot, now: float) -> None:
-        slot.generation += 1
-        slot.last_heartbeat = now
-        slot.process, slot.task_queue = spawn_worker(
+    def _spawn_locked(self, slot: _WorkerSlot) -> None:
+        slot.start(
             self._ctx,
             _worker_main,
-            slot.worker_id,
-            slot.generation,
-            self._events,
             self.harness.worker_spec(),
-            self.heartbeat_interval,
             os.getpid(),
             name=f"pka-worker-{slot.worker_id}",
         )
-        slot.pid = slot.process.pid
         slot.respawn_at = 0.0
         self._dispatchable.notify()
 
@@ -336,7 +302,6 @@ class WorkerSupervisor:
         """
         if count < 1:
             raise ValueError("grow() needs count >= 1")
-        now = time.monotonic()
         added = 0
         with self._lock:
             for slot in self._slots:
@@ -349,10 +314,10 @@ class WorkerSupervisor:
                 self._dispatchable.notify()
                 added += 1
             while added < count:
-                slot = _WorkerSlot(worker_id=len(self._slots))
+                slot = _WorkerSlot(len(self._slots))
                 self._slots.append(slot)
                 if self._started:
-                    self._spawn_locked(slot, now)
+                    self._spawn_locked(slot)
                 added += 1
             self.grown_total += count
             configured = sum(1 for s in self._slots if not s.retired)
@@ -367,11 +332,11 @@ class WorkerSupervisor:
         sitting out a respawn backoff retire immediately (scale-down and
         respawn backoff must never fight — the pending respawn is simply
         cancelled), then idle live workers, then busy ones.  A live
-        victim is marked ``draining``: dispatch stops, its in-flight job
-        (if any) finishes within ``grace`` seconds, and the monitor loop
+        victim is marked ``draining``: dispatch stops, its held job (if
+        any) finishes within ``grace`` seconds, and the coordinator
         retires it; past the deadline the worker is killed and its job
-        re-dispatched through the PR-7 recovery path, so scale-down never
-        loses an accepted job.
+        charged a failed attempt like any other lost worker's, so
+        scale-down never loses an accepted job.
         """
         if count < 1:
             raise ValueError("retire() needs count >= 1")
@@ -385,16 +350,14 @@ class WorkerSupervisor:
             ]
             # Dead-in-backoff first (free), then idle, then busy.
             def rank(slot: _WorkerSlot) -> int:
-                alive = slot.process is not None and slot.process.is_alive()
-                if not alive:
+                if not slot.alive:
                     return 0
-                return 1 if slot.current is None else 2
+                return 1 if slot.held is None else 2
 
             for slot in sorted(candidates, key=rank):
                 if marked >= count:
                     break
-                alive = slot.process is not None and slot.process.is_alive()
-                if not alive:
+                if not slot.alive:
                     self._retire_locked(slot, graceful=True)
                 else:
                     slot.draining = True
@@ -403,13 +366,13 @@ class WorkerSupervisor:
         return marked
 
     def _retire_locked(self, slot: _WorkerSlot, *, graceful: bool) -> None:
-        """Finalize one slot's retirement (caller holds the lock)."""
-        process = slot.process
-        if process is not None and process.is_alive():
+        """Finalize one slot's retirement (caller holds the lock).  A live
+        worker is told to exit; the coordinator collects it."""
+        if slot.alive:
             try:
-                slot.task_queue.put(None)  # graceful: worker exits its loop
+                slot.tasks.put(None)  # graceful: worker exits its loop
             except Exception:
-                kill_worker(process)
+                kill_worker(slot.process)
         slot.retired = True
         slot.draining = False
         slot.respawn_at = 0.0
@@ -432,11 +395,7 @@ class WorkerSupervisor:
     def alive_workers(self) -> int:
         with self._lock:
             return sum(
-                1
-                for slot in self._slots
-                if not slot.retired
-                and slot.process is not None
-                and slot.process.is_alive()
+                1 for slot in self._slots if not slot.retired and slot.alive
             )
 
     @property
@@ -447,10 +406,7 @@ class WorkerSupervisor:
             return sum(
                 1
                 for slot in self._slots
-                if not slot.retired
-                and not slot.draining
-                and slot.process is not None
-                and slot.process.is_alive()
+                if not slot.retired and not slot.draining and slot.alive
             )
 
     @property
@@ -460,7 +416,7 @@ class WorkerSupervisor:
             return sum(
                 1
                 for slot in self._slots
-                if not slot.retired and slot.current is not None
+                if not slot.retired and slot.held is not None
             )
 
     @property
@@ -475,8 +431,7 @@ class WorkerSupervisor:
             waits = [
                 max(0.0, slot.respawn_at - now)
                 for slot in self._slots
-                if not slot.retired
-                and (slot.process is None or not slot.process.is_alive())
+                if not slot.retired and not slot.alive
             ]
         if not waits:
             return self.respawn_backoff
@@ -495,7 +450,6 @@ class WorkerSupervisor:
             "draining": sum(1 for slot in slots if slot["draining"]),
             "busy": sum(1 for slot in slots if slot["current_job"]),
             "retired": retired,
-            "heartbeat_timeout_s": self.heartbeat_timeout,
             "redispatch_budget": self.harness.fault_policy.max_retries,
             "deaths": self.worker_deaths,
             "respawns": self.respawns,
@@ -514,25 +468,25 @@ class WorkerSupervisor:
             for slot in self._slots
             if not slot.retired
             and not slot.draining
-            and slot.process is not None
-            and slot.process.is_alive()
-            and slot.current is None
+            and slot.held is None
+            and slot.alive
         ]
 
     def _dispatch_loop(self) -> None:
         scheduler = self.scheduler
+        timeout = self.harness.fault_policy.timeout_seconds
         while True:
             with self._lock:
                 # Sleep until a slot frees up, spawns or is resurrected;
                 # the timeout only backstops a missed transition.
                 idle = self._idle_slots_locked()
                 while not idle and not self._stop.is_set():
-                    self._dispatchable.wait(self.heartbeat_interval)
+                    self._dispatchable.wait(_BACKSTOP)
                     idle = self._idle_slots_locked()
                 if self._stop.is_set():
                     return
             batch = scheduler.queue.take_batch(
-                len(idle), linger=0.0, timeout=self.heartbeat_interval
+                len(idle), linger=0.0, timeout=_BACKSTOP
             )
             if not batch:
                 continue
@@ -548,11 +502,10 @@ class WorkerSupervisor:
                     if not scheduler.begin(record):
                         continue  # cancelled in the take window
                     slot = idle.pop(0)
-                    slot.current = record
                     try:
-                        slot.task_queue.put(self._task_for(record))
+                        slot.hold(record, self._task_for(record), timeout)
                     except Exception:
-                        slot.current = None
+                        slot.release()
                         leftovers.append(record)
             # Slots vanished (or the fleet stopped) between sizing and
             # assignment: not a loss, the jobs go back to the front.
@@ -567,155 +520,144 @@ class WorkerSupervisor:
         fault_attempts = 0
         if request.fault is not None:
             fault_kind, fault_attempts = parse_job_fault(request.fault)
-            # A worker's in-process attempt counter restarts on every
-            # dispatch, so charge prior dispatches against the fault's
-            # attempt budget: "crashx2" kills two workers, then runs.
+            # Each dispatch is one attempt, so a fault poisons the first
+            # ``attempts`` dispatches: "crashx2" kills two workers, then
+            # the job runs.
             fault_attempts -= record.redispatches
             if fault_attempts <= 0:
                 fault_kind = None
         return (record.job_id, cell, fault_kind, fault_attempts)
 
     # ------------------------------------------------------------------
-    # Events
+    # The coordinator: one loop over every worker's pipe and sentinel
 
-    def _event_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                event = self._events.get(timeout=0.2)
-            except (queue_mod.Empty, OSError, EOFError):
-                continue
-            kind = event[0]
-            if kind == "heartbeat":
-                _, worker_id, generation, _pid = event
-                with self._lock:
-                    if worker_id >= len(self._slots):
-                        continue
-                    slot = self._slots[worker_id]
-                    if slot.generation == generation:
-                        slot.last_heartbeat = time.monotonic()
-            elif kind == "finished":
-                _, worker_id, generation, job_id, payload = event
-                self._handle_finished(worker_id, generation, job_id, payload)
-
-    def _handle_finished(
-        self, worker_id: int, generation: int, job_id: str, payload: dict
-    ) -> None:
-        scheduler = self.scheduler
-        with self._lock:
-            if worker_id >= len(self._slots):
-                return
-            slot = self._slots[worker_id]
-            if slot.generation == generation:
-                if slot.current is not None and slot.current.job_id == job_id:
-                    slot.current = None
-                    self._dispatchable.notify()
-                slot.completed += 1
-                slot.consecutive_deaths = 0
-                slot.last_heartbeat = time.monotonic()
-        try:
-            record = scheduler.get(job_id)
-        except Exception:
-            return  # job evaporated (should not happen); nothing to complete
-        if payload.get("ok"):
-            scheduler.finish(record, outcome=_deserialize_result(payload))
-        else:
-            scheduler.finish(
-                record,
-                error=payload.get("failure"),
-                attempts=payload.get("attempts"),
-            )
-        obs_count("fleet.jobs_finished")
-
-    # ------------------------------------------------------------------
-    # Monitoring
-
-    def _monitor_loop(self) -> None:
-        poll = max(0.02, self.heartbeat_interval / 2.0)
-        while not self._stop.is_set():
-            now = time.monotonic()
+    def _coordinate(self) -> None:
+        live: list[_WorkerSlot] = []
+        ready: set = set()
+        while True:
             with self._lock:
-                for slot in self._slots:
-                    if slot.retired:
-                        # Collect the exited process of a gracefully
-                        # retired worker; never respawn it.
-                        process = slot.process
-                        if process is not None and not process.is_alive():
-                            process.join(timeout=0)
-                            slot.process = None
-                            slot.pid = None
-                        continue
-                    if slot.process is None:
-                        if now >= slot.respawn_at:
-                            self._spawn_locked(slot, now)
-                            self.respawns += 1
-                            obs_count("fleet.respawns")
-                        continue
-                    if slot.draining and slot.process.is_alive():
-                        if slot.current is None:
-                            # In-flight work done (or none): retire now.
-                            self._retire_locked(slot, graceful=True)
-                            continue
-                        if now >= slot.drain_deadline:
-                            # Deadline-bounded drain: put the worker
-                            # down; _reap_locked re-dispatches the job
-                            # (PR-7 path) and then retires the slot.
-                            self._reap_locked(
-                                slot, now, exited=False,
-                                reason="drain-deadline",
-                            )
-                            continue
-                    exited = not slot.process.is_alive()
-                    stale = (
-                        now - slot.last_heartbeat
-                    ) > self.heartbeat_timeout
-                    if exited or stale:
-                        self._reap_locked(slot, now, exited=exited)
-            self._stop.wait(poll)
+                if self._stop.is_set():
+                    return
+                now = time.monotonic()
+                settled = [self._poll_locked(slot, ready, now) for slot in live]
+                settled += self._tend_locked(now)
+                live = [slot for slot in self._slots if slot.process is not None]
+                handles = [slot.results for slot in live]
+                handles += [slot.process.sentinel for slot in live]
+                wakes = [slot.deadline for slot in live if slot.deadline is not None]
+                wakes += [slot.drain_deadline for slot in live if slot.draining]
+                wakes += [
+                    slot.respawn_at
+                    for slot in self._slots
+                    if slot.process is None and not slot.retired
+                ]
+                timeout = min(
+                    [_BACKSTOP] + [max(0.0, wake - now) for wake in wakes]
+                )
+            for action in settled:
+                if action is not None:
+                    self._settle(*action)
+            if handles:
+                ready = set(wait(handles, timeout))
+            else:
+                self._stop.wait(timeout)
+                ready = set()
 
-    def _reap_locked(
-        self,
-        slot: _WorkerSlot,
-        now: float,
-        *,
-        exited: bool,
-        reason: str | None = None,
-    ) -> None:
-        """Declare one worker dead: kill, record evidence, recover its job."""
-        # A hung or overdue worker is put down first.
-        exitcode = reap_worker(slot.process, kill=not exited)
+    def _poll_locked(self, slot: _WorkerSlot, ready: set, now: float):
+        """What became of one worker, as a ``_settle`` action or None."""
+        process = slot.process
+        event = slot.poll(ready, now)
+        if event is None or slot.retired:
+            return None  # a retired worker's exit is only collected
+        status, payload = event
+        if status == "crash":
+            return self._lost_locked(slot, process, now, "exited")
+        if status == "timeout":
+            return self._lost_locked(slot, process, now, "timeout")
+        record = slot.release()
+        slot.completed += 1
+        slot.consecutive_deaths = 0
+        self._dispatchable.notify()
+        obs_count("fleet.jobs_finished")
+        if status == "error":  # the reply did not unpickle
+            failure = {
+                "kind": "exception",
+                "error_type": type(payload).__name__,
+                "message": str(payload),
+            }
+            return record, {"ok": False, "failure": failure}, None
+        return record, payload[-1], None
+
+    def _tend_locked(self, now: float) -> list:
+        """Respawn due slots, retire drained ones, and put down a draining
+        worker past its deadline; returns ``_settle`` actions."""
+        settled = []
+        for slot in self._slots:
+            if slot.retired:
+                continue
+            if slot.process is None:
+                if now >= slot.respawn_at:
+                    self._spawn_locked(slot)
+                    self.respawns += 1
+                    obs_count("fleet.respawns")
+            elif slot.draining and slot.held is None:
+                self._retire_locked(slot, graceful=True)
+            elif slot.draining and now >= slot.drain_deadline:
+                process = slot.process
+                slot.put_down(kill=True)
+                settled.append(
+                    self._lost_locked(slot, process, now, "drain-deadline")
+                )
+        return settled
+
+    def _lost_locked(self, slot: _WorkerSlot, process, now: float, reason: str):
+        """Record a worker that was put down; its job, if any, is charged
+        one failed attempt (a ``_settle`` action)."""
+        record = slot.release()
         evidence = {
             "worker_id": slot.worker_id,
-            "pid": slot.pid,
+            "pid": process.pid,
             "generation": slot.generation,
-            "reason": reason or ("exited" if exited else "stale-heartbeat"),
-            "exitcode": exitcode,
-            "heartbeat_age_s": round(now - slot.last_heartbeat, 3),
+            "reason": reason,
+            "exitcode": process.exitcode,
         }
+        if record is not None:
+            evidence["job_id"] = record.job_id
         slot.last_exit = evidence
-        slot.process = None
-        slot.pid = None
         slot.deaths += 1
         slot.consecutive_deaths += 1
-        backoff = min(
-            self.respawn_backoff_cap,
-            self.respawn_backoff * (2 ** (slot.consecutive_deaths - 1)),
-        )
-        slot.respawn_at = now + backoff
+        backoff = self.respawn_backoff * 2 ** (slot.consecutive_deaths - 1)
+        slot.respawn_at = now + min(self.respawn_backoff_cap, backoff)
         self.worker_deaths += 1
         obs_count("fleet.worker_deaths")
-        record, slot.current = slot.current, None
         if slot.draining:
             # A draining victim that died (or overstayed its drain
             # deadline) retires instead of respawning — scale-down and
             # respawn backoff never compete for the same slot.
             self._retire_locked(slot, graceful=False)
-        if record is None or record.terminal:
+        return None if record is None else (record, None, evidence)
+
+    def _settle(self, record: JobRecord, payload: dict | None, evidence) -> None:
+        """Complete one attempt's job, outside the lock: a good reply
+        finishes it; a failed attempt (a failure reply, or ``evidence``
+        of a lost worker) re-dispatches it while the policy grants
+        another attempt, and otherwise fails or quarantines it."""
+        scheduler = self.scheduler
+        if payload is not None and payload["ok"]:
+            scheduler.finish(record, outcome=_deserialize_result(payload))
             return
-        evidence = dict(evidence, job_id=record.job_id)
-        if record.redispatches >= self.harness.fault_policy.max_retries:
-            self.quarantined += 1
-            self.scheduler.quarantine(record, evidence)
-        else:
+        if record.terminal:
+            return
+        failure = None if payload is None else payload["failure"]
+        if record.redispatches < self.harness.fault_policy.max_retries:
             self.redispatches += 1
             obs_count("fleet.redispatches")
-            self.scheduler.requeue(record, evidence=evidence)
+            scheduler.requeue(record, evidence=evidence or failure)
+        elif failure is not None:
+            attempts = record.redispatches + 1
+            scheduler.finish(
+                record, error=dict(failure, attempts=attempts), attempts=attempts
+            )
+        else:
+            self.quarantined += 1
+            scheduler.quarantine(record, evidence)

@@ -12,10 +12,9 @@ execution backends the rest of the stack fans work out through:
   parallel results are bit-identical to serial ones.
 
 Workers are plain module-level functions over picklable payloads
-(frozen dataclasses all the way down), with per-process caches so one
-worker builds its :class:`~repro.sim.simulator.Simulator` or
-:class:`~repro.sim.silicon.SiliconExecutor` once and reuses it across
-batches.
+(frozen dataclasses all the way down), with a per-process cache so one
+worker builds its :class:`~repro.sim.simulator.Simulator` once and
+reuses it across batches.
 
 Backends are specified as ``None``/"serial" (serial), "auto"/0 (process
 pool, one worker per CPU), an integer worker count, or a ready-made
@@ -27,13 +26,13 @@ runtime**: ``run_tasks`` executes every task under a
 exponential backoff, an optional wall-clock timeout) and returns one
 :class:`TaskOutcome` per task — a value or a structured
 :class:`TaskFailure` — instead of aborting the whole batch on the first
-problem.  Like the service's worker fleet, which starts, kills and
-collects its workers with this module's :func:`spawn_worker`,
-:func:`kill_worker` and :func:`reap_worker`, the pool keeps at most one
-task on each worker: a worker that dies, or misses the deadline its
-task got at dispatch, is charged to exactly that task, and every other
-task runs once.  Recovery never reorders results, so the bit-identical
-serial == parallel guarantee holds for every non-quarantined task.
+problem.  The pool, like the service's worker fleet, is built from
+seats: one worker process each, with its own task queue and result
+pipe, holding at most one task.  A worker that dies, or misses the
+deadline its task got at dispatch, is charged to exactly that task, and
+every other task runs once.  Recovery never reorders results, so the
+bit-identical serial == parallel guarantee holds for every
+non-quarantined task.
 """
 
 from __future__ import annotations
@@ -100,9 +99,10 @@ class FaultPolicy:
     original did and stays reproducible.
 
     Timeout enforcement differs by backend, by necessity: the process
-    pool enforces it preemptively (hung workers are terminated), the
-    serial backend post-hoc (an attempt that returns after its deadline
-    is discarded and classified as a timeout).  Both classify the task
+    pool, like the service's worker fleet, enforces it preemptively
+    (hung workers are killed), the serial backend post-hoc (an attempt
+    that returns after its deadline is discarded and classified as a
+    timeout).  Both classify the task
     identically, which is what the serial == parallel guarantee needs.
     """
 
@@ -481,7 +481,7 @@ class SerialBackend:
 
 
 def _pool_worker(
-    worker_id: int, generation: int, task_queue, results, owner: int
+    worker_id: int, generation: int, task_queue, send, owner: int
 ) -> None:
     """Pool worker: run one fault-wrapped task at a time until ``None``.
 
@@ -489,8 +489,8 @@ def _pool_worker(
     inner tuple is exactly what :func:`~repro.sim.faults.run_with_fault`
     expects.  With ``capture`` set (the parent's tracer was on at
     dispatch) the task runs under an isolated tracer whose snapshot
-    ships back with the value.  Replies go on this worker's own pipe,
-    whose ``send`` pickles here, so a value that cannot cross the process
+    ships back with the value.  ``send`` replies on this worker's own
+    pipe and pickles here, so a value that cannot cross the process
     boundary comes back as the task's own exception instead of vanishing.
     A worker whose ``owner`` process died without reaping it exits once
     idle.
@@ -518,16 +518,22 @@ def _pool_worker(
         except Exception as exc:
             reply = (False, exc)
         try:
-            results.send(reply)
+            send(reply)
         except Exception as exc:
-            results.send((False, exc))
+            send((False, exc))
 
 
 class _Seat:
-    """One pool worker process and the one task it holds."""
+    """One worker process, with its own task queue and result pipe, and
+    the one task it holds.
+
+    The unit both process runtimes are built from: the pool here and the
+    service's worker fleet.  The owner waits on every seat's ``results``
+    and ``process.sentinel`` and then asks :meth:`poll` what happened.
+    """
 
     __slots__ = (
-        "worker_id", "generation", "process", "tasks", "results", "state", "deadline"
+        "worker_id", "generation", "process", "tasks", "results", "held", "deadline"
     )
 
     def __init__(self, worker_id: int) -> None:
@@ -536,43 +542,47 @@ class _Seat:
         self.process = None
         self.tasks = None
         self.results = None
-        self.state: _TaskState | None = None
+        self.held: Any = None
         self.deadline: float | None = None
 
-    def dispatch(
-        self, context, fn: Callable[[Any], Any], state: _TaskState,
-        timeout: float | None, capture: bool,
+    def start(
+        self, context, target: Callable[..., None], *args: Any, name: str
     ) -> None:
-        if self.process is not None and not self.process.is_alive():
-            self.put_down(kill=True)  # died idle: charge it to no task
-        if self.process is None:
-            self.generation += 1
-            self.results, writer = context.Pipe(duplex=False)
-            self.process, self.tasks = spawn_worker(
-                context, _pool_worker, self.worker_id, self.generation, writer,
-                os.getpid(), name=f"pka-pool-{self.worker_id}",
-            )
-            writer.close()
-        self.state = state
-        self.deadline = None if timeout is None else time.monotonic() + timeout
-        self.tasks.put(
-            ((fn, state.item, state.fault, state.attempt, True), state.label, capture)
+        """Start ``target(worker_id, generation, task_queue, send, *args)``,
+        where ``send`` replies on this seat's result pipe."""
+        self.generation += 1
+        self.results, writer = context.Pipe(duplex=False)
+        self.process, self.tasks = spawn_worker(
+            context, target, self.worker_id, self.generation, writer.send, *args,
+            name=name,
         )
+        writer.close()
+
+    def hold(self, held: Any, task: Any, timeout: float | None) -> None:
+        """Hand the worker ``task`` on behalf of ``held``; the deadline
+        runs from now."""
+        self.held = held
+        self.deadline = None if timeout is None else time.monotonic() + timeout
+        self.tasks.put(task)
+
+    def release(self) -> Any:
+        """Forget the held task (and its deadline); return what was held."""
+        held, self.held, self.deadline = self.held, None, None
+        return held
 
     def poll(self, ready: set, now: float) -> tuple[str, Any] | None:
-        """What became of the held task: None while it runs inside its
-        deadline, else ``("ok", (value, obs))``, ``("error", exc)``,
-        ``("crash", None)`` or ``("timeout", None)``.  A crashed or
-        overdue worker is put down here."""
+        """What became of the worker: None while it is alive, silent and
+        inside its deadline, else ``("reply", message)``, ``("error",
+        exc)`` (a reply that did not unpickle), ``("crash", None)`` or
+        ``("timeout", None)``.  A crashed or overdue worker is put down
+        here."""
         if self.results in ready:
             try:
-                ok, payload = self.results.recv()
+                status, payload = "reply", self.results.recv()
             except (EOFError, OSError):
                 status, payload = "crash", None  # died before replying
-            except Exception as exc:  # the reply did not unpickle
+            except Exception as exc:
                 status, payload = "error", exc
-            else:
-                status = "ok" if ok else "error"
         elif self.process.sentinel in ready:
             status, payload = "crash", None
         elif self.deadline is not None and now >= self.deadline:
@@ -584,7 +594,7 @@ class _Seat:
         return status, payload
 
     def put_down(self, *, kill: bool) -> None:
-        """Collect this seat's worker; the next dispatch starts a fresh one."""
+        """Collect this seat's worker; the next start is a fresh one."""
         if not kill:
             self.tasks.put(None)
         reap_worker(self.process, kill=kill)
@@ -669,12 +679,21 @@ class ProcessPoolBackend:
         try:
             while unresolved:
                 for seat in seats:
-                    if seat.state is None and pending:
-                        seat.dispatch(
-                            context, fn, pending.popleft(),
-                            policy.timeout_seconds, capture,
+                    if seat.held is not None or not pending:
+                        continue
+                    if seat.process is not None and not seat.process.is_alive():
+                        seat.put_down(kill=True)  # died idle: charge it to no task
+                    if seat.process is None:
+                        seat.start(
+                            context, _pool_worker, os.getpid(),
+                            name=f"pka-pool-{seat.worker_id}",
                         )
-                busy = [seat for seat in seats if seat.state is not None]
+                    state = pending.popleft()
+                    inner = (fn, state.item, state.fault, state.attempt, True)
+                    seat.hold(
+                        state, (inner, state.label, capture), policy.timeout_seconds
+                    )
+                busy = [seat for seat in seats if seat.held is not None]
                 deadlines = [s.deadline for s in busy if s.deadline is not None]
                 timeout = (
                     max(0.0, min(deadlines) - time.monotonic()) if deadlines else None
@@ -688,7 +707,10 @@ class ProcessPoolBackend:
                     if event is None:
                         continue
                     status, payload = event
-                    state, seat.state = seat.state, None
+                    state = seat.release()
+                    if status == "reply":
+                        ok, payload = payload
+                        status = "ok" if ok else "error"
                     if status == "ok":
                         value, shipped = payload
                         if shipped is not None:
@@ -709,7 +731,7 @@ class ProcessPoolBackend:
         finally:
             for seat in seats:
                 if seat.process is not None:
-                    seat.put_down(kill=seat.state is not None)
+                    seat.put_down(kill=seat.held is not None)
         if strict:
             for outcome in outcomes:
                 if not outcome.ok:
@@ -779,12 +801,10 @@ def chunked(items: Sequence[Any], n_chunks: int) -> list[list[Any]]:
 
 
 # ---------------------------------------------------------------------------
-# Worker tasks.  Module-level so they pickle by reference; each keeps a
-# per-process cache so one worker builds its executor once.
+# Worker tasks.  Module-level so they pickle by reference.
 # ---------------------------------------------------------------------------
 
 _WORKER_SIMULATORS: dict[tuple, Any] = {}
-_WORKER_SILICON: dict[Any, Any] = {}
 
 #: Batches submitted per worker — small enough to amortize dispatch,
 #: large enough to balance uneven kernels across the pool.
@@ -831,29 +851,3 @@ def block_shard_task(payload: tuple) -> list:
         blocks=blocks,
     ):
         return compute_shard_partials(launch, perf, bias, slots, list(ranges))
-
-
-def silicon_batch_task(payload: tuple) -> list[tuple]:
-    """Worker: price a batch of launches on one silicon model.
-
-    Returns ``(signature, grid_blocks, cycles, dram_bytes_per_block)``
-    tuples — exactly the entries the parent's memo tables hold.
-    """
-    gpu, launches = payload
-    executor = _WORKER_SILICON.get(gpu)
-    if executor is None:
-        from repro.sim.silicon import SiliconExecutor
-
-        executor = SiliconExecutor(gpu)
-        _WORKER_SILICON[gpu] = executor
-    rows = []
-    for launch in launches:
-        rows.append(
-            (
-                launch.spec.signature(),
-                launch.grid_blocks,
-                executor.kernel_cycles(launch),
-                executor.kernel_dram_bytes_per_block(launch),
-            )
-        )
-    return rows

@@ -4,29 +4,18 @@ Real hardware executes a workload in closed form here — per-launch cycles
 come from :func:`repro.sim.perfmodel.analytic_kernel_cycles`, memoized on
 (kernel signature, grid, GPU) because scaled workloads launch the same few
 specs millions of times.  The silicon model is deterministic: the paper's
-"error versus silicon" metrics need a stable reference.
-
-With a parallel backend, distinct kernels are priced across worker
-processes before the (order-preserving) accumulation loop runs, so
-parallel results are bit-identical to serial ones.
+"error versus silicon" metrics need a stable reference.  Pricing is
+cheap next to starting a process, so it runs in the calling one.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from repro.errors import ConfigurationError
 from repro.gpu.architectures import GPUConfig
-from repro.gpu.kernels import KernelLaunch, group_by_kernel
+from repro.gpu.kernels import KernelLaunch
 from repro.obs import obs_count, obs_span
 from repro.sim.memory import build_memory_profile
-from repro.sim.parallel import (
-    CHUNKS_PER_WORKER,
-    ExecutionBackend,
-    chunked,
-    resolve_backend,
-    silicon_batch_task,
-)
 from repro.sim.perfmodel import KERNEL_LAUNCH_OVERHEAD, analytic_kernel_cycles
 from repro.sim.stats import AppRunResult, KernelRecord
 
@@ -36,22 +25,8 @@ __all__ = ["SiliconExecutor"]
 class SiliconExecutor:
     """Executes workloads "on silicon" (analytically) for one GPU."""
 
-    def __init__(
-        self,
-        gpu: GPUConfig,
-        *,
-        backend: ExecutionBackend | str | int | None = None,
-        intra_jobs: ExecutionBackend | str | int | None = None,
-    ) -> None:
-        if backend is not None and intra_jobs is not None:
-            raise ConfigurationError(
-                "pass either backend or intra_jobs, not both: at the "
-                "executor level they name the same worker pool"
-            )
+    def __init__(self, gpu: GPUConfig) -> None:
         self.gpu = gpu
-        # Like the Simulator, an executor's pool only parallelizes within
-        # one app run, so intra_jobs is an alias for backend here.
-        self.backend = resolve_backend(backend if backend is not None else intra_jobs)
         self._cycle_cache: dict[tuple[int, int], float] = {}
         self._traffic_cache: dict[int, float] = {}
 
@@ -97,8 +72,6 @@ class SiliconExecutor:
             gpu=self.gpu.name,
             launches=len(launches),
         ):
-            if self.backend.jobs > 1:
-                self._prefetch_parallel(launches)
             total_cycles = 0.0
             total_insts = 0.0
             total_bytes = 0.0
@@ -132,22 +105,3 @@ class SiliconExecutor:
             simulated_cycles=0.0,
             kernel_records=tuple(records),
         )
-
-    def _prefetch_parallel(self, launches: Sequence[KernelLaunch]) -> None:
-        """Price distinct, not-yet-memoized kernels across the backend."""
-        _, firsts = group_by_kernel(launches)
-        pending = {
-            key: launch
-            for key, launch in firsts.items()
-            if key not in self._cycle_cache
-        }
-        if len(pending) < 2:
-            return
-        batches = chunked(
-            list(pending.values()), self.backend.jobs * CHUNKS_PER_WORKER
-        )
-        payloads = [(self.gpu, tuple(batch)) for batch in batches]
-        for rows in self.backend.map_tasks(silicon_batch_task, payloads):
-            for signature, grid_blocks, cycles, per_block in rows:
-                self._cycle_cache[(signature, grid_blocks)] = cycles
-                self._traffic_cache[signature] = per_block

@@ -264,7 +264,7 @@ class TestElasticPool:
 
     def test_grow_adds_live_workers_with_stable_ids(self, tmp_path):
         harness = EvaluationHarness(backend="serial", cache_dir=tmp_path / "cache")
-        supervisor = WorkerSupervisor(harness, workers=1, heartbeat_interval=0.1)
+        supervisor = WorkerSupervisor(harness, workers=1)
         scheduler = Scheduler(harness, supervisor=supervisor)
         scheduler.start()
         try:
@@ -286,7 +286,7 @@ class TestElasticPool:
 
     def test_retire_idle_worker_is_graceful_and_final(self, tmp_path):
         harness = EvaluationHarness(backend="serial", cache_dir=tmp_path / "cache")
-        supervisor = WorkerSupervisor(harness, workers=2, heartbeat_interval=0.1)
+        supervisor = WorkerSupervisor(harness, workers=2)
         journal = JobJournal(tmp_path / "journal.jsonl")
         scheduler = Scheduler(harness, supervisor=supervisor, journal=journal)
         scheduler.start()
@@ -315,7 +315,7 @@ class TestElasticPool:
         accepted job reaches exactly one terminal state (journal-proved),
         none are lost, none run twice."""
         harness = EvaluationHarness(backend="serial", cache_dir=tmp_path / "cache")
-        supervisor = WorkerSupervisor(harness, workers=2, heartbeat_interval=0.1)
+        supervisor = WorkerSupervisor(harness, workers=2)
         journal_path = tmp_path / "journal.jsonl"
         scheduler = Scheduler(
             harness, supervisor=supervisor, journal=JobJournal(journal_path)
@@ -365,7 +365,7 @@ class TestElasticPool:
             cache_dir=tmp_path / "cache",
             fault_policy=FaultPolicy(max_retries=2),
         )
-        supervisor = WorkerSupervisor(harness, workers=2, heartbeat_interval=0.1)
+        supervisor = WorkerSupervisor(harness, workers=2)
         scheduler = Scheduler(harness, supervisor=supervisor)
         scheduler.start()
         try:
@@ -398,7 +398,7 @@ class TestElasticPool:
         """A scale-up that races a scale-down cancels the drain instead
         of forking a new process."""
         harness = EvaluationHarness(backend="serial", cache_dir=tmp_path / "cache")
-        supervisor = WorkerSupervisor(harness, workers=2, heartbeat_interval=0.1)
+        supervisor = WorkerSupervisor(harness, workers=2)
         scheduler = Scheduler(harness, supervisor=supervisor)
         scheduler.start()
         try:

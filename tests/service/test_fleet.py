@@ -23,10 +23,12 @@ import urllib.request
 import pytest
 
 from repro import obs
-from repro.analysis.harness import CellOutcome, EvaluationHarness
+from repro.analysis.harness import CellFailure, CellOutcome, EvaluationHarness
 from repro.analysis.persistence import dump_run
 from repro.errors import WorkersUnavailableError
-from repro.sim.parallel import FaultPolicy
+from repro.sim import SiliconExecutor
+from repro.sim.faults import PERSISTENT, FaultPlan, InjectedFault
+from repro.sim.parallel import FaultPolicy, ProcessPoolBackend
 from repro.service import (
     JobJournal,
     JobRequest,
@@ -151,7 +153,7 @@ class TestWorkerCrashRecovery:
             cache_dir=tmp_path / "cache",
             fault_policy=FaultPolicy(max_retries=2),
         )
-        supervisor = WorkerSupervisor(harness, workers=2, heartbeat_interval=0.1)
+        supervisor = WorkerSupervisor(harness, workers=2)
         scheduler = Scheduler(harness, supervisor=supervisor)
         scheduler.start()
         try:
@@ -176,7 +178,7 @@ class TestWorkerCrashRecovery:
             cache_dir=tmp_path / "cache",
             fault_policy=FaultPolicy(max_retries=1),
         )
-        supervisor = WorkerSupervisor(harness, workers=2, heartbeat_interval=0.1)
+        supervisor = WorkerSupervisor(harness, workers=2)
         scheduler = Scheduler(harness, supervisor=supervisor)
         scheduler.start()
         try:
@@ -213,7 +215,7 @@ class TestWorkerCrashRecovery:
             cache_dir=tmp_path / "cache",
             fault_policy=FaultPolicy(max_retries=0),
         )
-        supervisor = WorkerSupervisor(harness, workers=1, heartbeat_interval=0.1)
+        supervisor = WorkerSupervisor(harness, workers=1)
         scheduler = Scheduler(harness, supervisor=supervisor)
         scheduler.start()
         try:
@@ -227,6 +229,126 @@ class TestWorkerCrashRecovery:
             assert supervisor.snapshot()["redispatch_budget"] == 0
         finally:
             scheduler.close()
+
+
+class TestDeadlineKill:
+    """A job past its deadline has its worker killed, whatever the
+    worker is doing: the deadline is the coordinator's, not the
+    worker's."""
+
+    def test_pure_python_spin_is_killed_at_its_deadline(self, tmp_path, monkeypatch):
+        run = SiliconExecutor.run
+
+        def spin_on_atax(self, workload_name, *args, **kwargs):
+            while workload_name == "atax":
+                pass
+            return run(self, workload_name, *args, **kwargs)
+
+        # Patched before the fleet forks, so its worker inherits it.
+        monkeypatch.setattr(SiliconExecutor, "run", spin_on_atax)
+        harness = EvaluationHarness(
+            backend="serial",
+            cache_dir=tmp_path / "cache",
+            fault_policy=FaultPolicy(max_retries=0, timeout_seconds=1.0),
+        )
+        supervisor = WorkerSupervisor(harness, workers=1)
+        scheduler = Scheduler(harness, supervisor=supervisor)
+        scheduler.start()
+        try:
+            [first_pid] = [slot["pid"] for slot in supervisor.snapshot()["slots"]]
+            started = time.monotonic()
+            hung, _ = scheduler.submit(JobRequest(workload="atax", method="silicon"))
+            _wait_terminal(hung, timeout=10.0)
+            assert time.monotonic() - started < 4.0
+            assert hung.state == "failed"
+            assert hung.error["kind"] == "quarantined"
+            evidence = hung.error["evidence"]
+            assert evidence["reason"] == "timeout"
+            assert evidence["pid"] == first_pid
+            assert evidence["exitcode"] == -signal.SIGKILL
+            assert supervisor.worker_deaths == 1
+            assert not _pid_alive(first_pid)
+
+            respawned = time.monotonic() + 10.0
+            while not supervisor.any_alive and time.monotonic() < respawned:
+                time.sleep(0.01)
+            healthy, _ = scheduler.submit(JobRequest(workload="histo", method="silicon"))
+            _wait_terminal(healthy)
+            assert healthy.state == "done"
+            [slot] = supervisor.snapshot()["slots"]
+            assert slot["alive"] and slot["pid"] != first_pid
+            assert slot["generation"] == 2
+        finally:
+            scheduler.close()
+
+
+#: Fault kinds x (transient, persistent), each settled by both runtimes.
+PARITY_CASES = [
+    (kind, persistent)
+    for kind in ("exception", "crash", "hang")
+    for persistent in (False, True)
+]
+PARITY_TIMEOUT = 1.2
+#: Less than the half deadline by which an injected hang oversleeps
+#: (``FaultPolicy.hang_seconds`` is 1.5x the timeout), so a hang that
+#: ran to its end fails the bound.
+PARITY_SLACK = 0.55
+
+
+class TestPoolFleetParity:
+    """The process pool and the worker fleet settle a faulty cell alike:
+    one attempt per dispatch, every failed attempt charged against one
+    ``max_retries`` budget, hangs cut at their deadline."""
+
+    @pytest.mark.parametrize(
+        "kind,persistent",
+        PARITY_CASES,
+        ids=[f"{k}-{'persistent' if p else 'transient'}" for k, p in PARITY_CASES],
+    )
+    def test_same_terminal_state_and_attempts(self, kind, persistent):
+        policy = FaultPolicy(max_retries=1, timeout_seconds=PARITY_TIMEOUT)
+        attempts = PERSISTENT if persistent else 1
+
+        # The pool runs one cell inline, so give it a healthy second one.
+        pool = EvaluationHarness(backend=ProcessPoolBackend(2), fault_policy=policy)
+        started = time.monotonic()
+        result, _ = pool.evaluate_cells(
+            [(WORKLOAD, "silicon", None), ("histo", "silicon", None)],
+            fault_plan=FaultPlan(faults=(InjectedFault(0, kind, attempts),)),
+        )
+        pool_s = time.monotonic() - started
+        if isinstance(result, CellFailure):
+            pool_end = ("failed", result.attempts)
+        else:
+            retries = obs.get_tracer().counters.get("tasks.retries", 0)
+            pool_end = ("done", 1 + retries)
+
+        harness = EvaluationHarness(backend="serial", fault_policy=policy)
+        supervisor = WorkerSupervisor(harness, workers=1, respawn_backoff=0.05)
+        scheduler = Scheduler(harness, supervisor=supervisor)
+        scheduler.start()
+        try:
+            started = time.monotonic()
+            record, _ = scheduler.submit(
+                JobRequest(
+                    workload=WORKLOAD,
+                    method="silicon",
+                    fault=kind + ("xP" if persistent else ""),
+                )
+            )
+            _wait_terminal(record)
+            fleet_s = time.monotonic() - started
+        finally:
+            scheduler.close()
+        fleet_end = (record.state, record.redispatches + 1)
+        if record.state == "failed":
+            assert record.attempts == record.redispatches + 1
+
+        assert fleet_end == pool_end == ("failed" if persistent else "done", 2)
+        if kind == "hang":
+            charged = 2 if persistent else 1
+            for elapsed in (pool_s, fleet_s):
+                assert elapsed < charged * PARITY_TIMEOUT + PARITY_SLACK
 
 
 class TestWorkerLifetime:
@@ -672,7 +794,7 @@ class TestResultWireFormat:
         tasks, events = queue.Queue(), queue.Queue()
         tasks.put(("j1", ("histo", "silicon", None), None, 0))
         tasks.put(None)
-        _worker_main(0, 0, tasks, events, harness.worker_spec(), 60.0, os.getppid())
+        _worker_main(0, 0, tasks, events.put, harness.worker_spec(), os.getppid())
         finished = [event for event in events.queue if event[0] == "finished"]
         assert [event[3] for event in finished] == ["j1"]
         payload = finished[0][4]

@@ -39,6 +39,11 @@ FLEET_REPORT = {
     "reconciliation": {"balanced": True},
 }
 FLEET_METRICS = {"counters": {"fleet.worker_deaths": 1}}
+DEADLINE_KILL = (
+    {"job_id": "j1", "state": "done", "redispatches": 1},
+    {"counters": {"fleet.worker_deaths": 2}},
+    1,
+)
 RECOVERED_METRICS = {
     "states": {"done": 4},
     "counters": {"service.recovered_jobs": 1},
@@ -118,6 +123,18 @@ CASES = {
     "no-worker-death": (
         "check_fleet_load", (FLEET_REPORT, FLEET_METRICS),
         lambda m: m["counters"].update({"fleet.worker_deaths": 0}), 1,
+    ),
+    # The hang ran out in the worker and was retried there: the
+    # coordinator never saw it.
+    "hang-outlived-deadline": (
+        "check_deadline_kill", DEADLINE_KILL, lambda j: j.update(redispatches=0), 0,
+    ),
+    "hung-job-failed": (
+        "check_deadline_kill", DEADLINE_KILL, lambda j: j.update(state="failed"), 0,
+    ),
+    "no-deadline-kill": (
+        "check_deadline_kill", DEADLINE_KILL,
+        lambda m: m["counters"].update({"fleet.worker_deaths": 1}), 1,
     ),
     "stuck-after-restart": (
         "check_recovered", (RECOVERED_METRICS, RECOVERED_JOB),

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, TaskTimeoutError, WorkerCrashError
 from repro.gpu import InstructionMix, KernelLaunch, KernelSpec, VOLTA_V100
-from repro.sim import SiliconExecutor, Simulator
+from repro.sim import Simulator
 from repro.sim.parallel import (
     ExecutionBackend,
     FaultPolicy,
@@ -328,16 +328,6 @@ def test_parallel_full_sim_equals_serial(launches):
         "prop_app", launches, keep_records=True
     )
     assert pooled == serial  # dataclass equality: exact floats, all fields
-
-
-@given(seeded_launches())
-@settings(max_examples=10, deadline=None)
-def test_parallel_silicon_equals_serial(launches):
-    serial = SiliconExecutor(VOLTA_V100).run("prop_app", launches, keep_records=True)
-    pooled = SiliconExecutor(
-        VOLTA_V100, backend=ProcessPoolBackend(2)
-    ).run("prop_app", launches, keep_records=True)
-    assert pooled == serial
 
 
 @pytest.mark.parametrize("jobs", WORKER_SWEEP)
