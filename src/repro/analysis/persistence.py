@@ -652,16 +652,25 @@ class RunCache:
         return payload
 
     def _store(
-        self, key: str, path: Path, document: dict, *, indent: int | None = None
+        self,
+        key: str,
+        path: Path,
+        document: dict,
+        *,
+        indent: int | None = None,
+        text: str | None = None,
     ) -> bool:
         """Write ``document`` to ``path`` atomically (temp file + rename).
 
-        The one writer of entries, manifests and tier state.  A store
-        that cannot write degrades to the in-memory overlay under
-        ``key``.  True when the document reached disk.
+        The one writer of entries, manifests and tier state.  ``text``,
+        when given, is the document already rendered as
+        ``json.dumps(document, sort_keys=True)``.  A store that cannot
+        write degrades to the in-memory overlay under ``key``.  True
+        when the document reached disk.
         """
         if not self.degraded:
-            text = json.dumps(document, sort_keys=True, indent=indent)
+            if text is None:
+                text = json.dumps(document, sort_keys=True, indent=indent)
             tmp_name = None
             try:
                 path.parent.mkdir(parents=True, exist_ok=True)
@@ -864,15 +873,24 @@ class RunCache:
         directories, so like manifests it is never counted against
         ``max_bytes`` nor LRU-evicted.
         """
+        # Render the payload once: its text is both what the checksum
+        # hashes and what the envelope embeds (keys in sorted order, so
+        # the file is exactly ``json.dumps(envelope, sort_keys=True)``).
+        payload = json.dumps(document, sort_keys=True)
+        checksum = self._payload_checksum(payload)
+        envelope = {
+            "kind": f"{kind}_state",
+            "schema": CACHE_SCHEMA_VERSION,
+            "payload": document,
+            "sha256": checksum,
+        }
+        text = (
+            f'{{"kind": {json.dumps(envelope["kind"])}, "payload": {payload}, '
+            f'"schema": {json.dumps(CACHE_SCHEMA_VERSION)}, '
+            f'"sha256": {json.dumps(checksum)}}}'
+        )
         self._store(
-            f"{kind}:{context}",
-            self._state_path(kind, context),
-            {
-                "kind": f"{kind}_state",
-                "schema": CACHE_SCHEMA_VERSION,
-                "payload": document,
-                "sha256": self._payload_checksum(document),
-            },
+            f"{kind}:{context}", self._state_path(kind, context), envelope, text=text
         )
 
     def state_mtime(self, kind: str, context: str) -> float | None:

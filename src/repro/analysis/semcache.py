@@ -145,10 +145,6 @@ class _GroupRow:
     warp_instructions: float
     launches: int
 
-    @property
-    def log_counters(self) -> np.ndarray:
-        return np.log1p(np.asarray(self.counters, dtype=np.float64))
-
 
 @dataclass
 class _AppEntry:
@@ -227,9 +223,41 @@ def _group_launches(
     return merged
 
 
-def _distance(query: _GroupRow, donor: _GroupRow) -> float:
-    """Mean absolute log-counter difference (≈ mean relative deviation)."""
-    return float(np.abs(query.log_counters - donor.log_counters).mean())
+def _dist_matrix(queries: list[_GroupRow], donors: list[_GroupRow]) -> np.ndarray:
+    """Mean absolute log-counter difference (≈ mean relative deviation)
+    of every (query, donor) row pair, as one ``queries × donors`` matrix.
+
+    One broadcast over C-contiguous float64 operands: numpy reduces the
+    contiguous counter axis pairwise, exactly as it reduces one row
+    pair's 12-vector, so every entry equals the per-pair mean bit for bit.
+    """
+    query = np.log1p(np.asarray([row.counters for row in queries], dtype=np.float64))
+    donor = np.log1p(np.asarray([row.counters for row in donors], dtype=np.float64))
+    return np.abs(query[:, None, :] - donor[None, :, :]).mean(axis=2)
+
+
+def _nearest_donors(
+    query: list[_GroupRow], partition: dict[str, _AppEntry]
+) -> list[tuple[_AppEntry, float]]:
+    """Each query row's nearest donor: ``(owning entry, distance)``.
+
+    Donor rows are stacked in partition order (entry insertion order,
+    then row order) and searched in one pass; ``argmin`` takes the first
+    minimum, so a tie goes to the earliest donor row.  Empty when the
+    partition holds no rows.
+    """
+    owners = [entry for entry in partition.values() for _row in entry.rows]
+    if not owners:
+        return []
+    distances = _dist_matrix(
+        query, [row for entry in partition.values() for row in entry.rows]
+    )
+    nearest = distances.argmin(axis=1)
+    best = distances[np.arange(len(query)), nearest]
+    return [
+        (owners[index], dist)
+        for index, dist in zip(nearest.tolist(), best.tolist(), strict=True)
+    ]
 
 
 class SemanticCache(ApproxTier):
@@ -275,17 +303,14 @@ class SemanticCache(ApproxTier):
         total_mass = sum(row.warp_instructions for row in query)
         if not query or total_mass <= 0:
             return "coverage"
-        donors: list[tuple[_GroupRow, _AppEntry, float]] = []
-        for row in query:
-            best: tuple[float, _AppEntry] | None = None
-            for entry in partition.values():
-                for donor_row in entry.rows:
-                    dist = _distance(row, donor_row)
-                    if best is None or dist < best[0]:
-                        best = (dist, entry)
-            if best is None or best[0] > self.config.transfer_threshold:
-                return "coverage"
-            donors.append((row, best[1], best[0]))
+        nearest = _nearest_donors(query, partition)
+        threshold = self.config.transfer_threshold
+        if not nearest or any(dist > threshold for _entry, dist in nearest):
+            return "coverage"
+        donors = [
+            (row, entry, dist)
+            for row, (entry, dist) in zip(query, nearest, strict=True)
+        ]
         bound = self.config.error_floor + self.config.safety_factor * sum(
             (row.warp_instructions / total_mass) * self.config.lipschitz * dist
             for row, _entry, dist in donors

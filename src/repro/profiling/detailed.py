@@ -9,6 +9,7 @@ very intractability (Figure 1) that motivates two-level profiling.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -77,6 +78,7 @@ class DetailedProfile:
 _ISA_SKEW = 0.03
 
 
+@functools.lru_cache(maxsize=4096)
 def _isa_factor(signature: int, generation: str) -> float:
     # zlib.crc32 is a stable string hash (Python's hash() is salted per
     # process, which would break reproducibility).

@@ -193,6 +193,11 @@ class JobRecord:
     ``source`` and ``result`` read; ``latency_ms`` is submit-to-terminal
     wall time, also recorded as a ``service.job`` span for the
     ``/metricsz`` percentiles.
+
+    ``attempts`` is how many attempts a finished job took (``done`` or
+    ``failed``), counting retries and redispatches.  A job answered at
+    submit — from the digest cache or an approximate tier — keeps 0:
+    it never ran.
     """
 
     job_id: str

@@ -628,17 +628,17 @@ class Scheduler:
         )
 
     def finish(
-        self,
-        record: JobRecord,
-        *,
-        outcome=None,
-        error: dict | None = None,
-        attempts: int | None = None,
+        self, record: JobRecord, *, outcome=None, error: dict | None = None
     ) -> None:
-        """Terminal completion from a fleet worker's reported outcome."""
+        """Terminal completion from a fleet worker's reported outcome,
+        charged one attempt per dispatch (``redispatches + 1``)."""
         state = "failed" if error is not None else "done"
         self._complete(
-            record, state, outcome=outcome, error=error, attempts=attempts
+            record,
+            state,
+            outcome=outcome,
+            error=error,
+            attempts=record.redispatches + 1,
         )
 
     # -- dispatch --------------------------------------------------------
@@ -686,7 +686,12 @@ class Scheduler:
         def progress(outcome) -> None:
             # Job-granular completion: don't make job 1 wait for job 32.
             if outcome.ok:
-                self._complete(ready[outcome.index], "done", outcome=outcome.value)
+                self._complete(
+                    ready[outcome.index],
+                    "done",
+                    outcome=outcome.value,
+                    attempts=outcome.attempts,
+                )
 
         results = self.harness.evaluate_cells(
             cells, strict=False, fault_plan=plan, progress=progress

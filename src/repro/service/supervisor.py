@@ -654,9 +654,8 @@ class WorkerSupervisor:
             obs_count("fleet.redispatches")
             scheduler.requeue(record, evidence=evidence or failure)
         elif failure is not None:
-            attempts = record.redispatches + 1
             scheduler.finish(
-                record, error=dict(failure, attempts=attempts), attempts=attempts
+                record, error=dict(failure, attempts=record.redispatches + 1)
             )
         else:
             self.quarantined += 1

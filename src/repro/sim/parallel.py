@@ -207,6 +207,10 @@ class TaskOutcome:
     #: telemetry must never break the bit-identical serial == parallel
     #: comparison.
     obs: ObsSnapshot | None = field(default=None, compare=False, repr=False)
+    #: Attempts a completed task took (a failure carries its own count in
+    #: ``failure.attempts``).  Excluded from equality: how many retries a
+    #: run needed is not part of what it computed.
+    attempts: int = field(default=1, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -338,7 +342,9 @@ def _run_tasks_inline(
             ):
                 outcome = _settle(state, policy, "timeout", None)
             else:
-                outcome = TaskOutcome(state.index, state.label, value=value)
+                outcome = TaskOutcome(
+                    state.index, state.label, value=value, attempts=state.attempt
+                )
         if on_outcome is not None:
             on_outcome(outcome)
         if strict and not outcome.ok:
@@ -716,7 +722,11 @@ class ProcessPoolBackend:
                         if shipped is not None:
                             get_tracer().merge(shipped)
                         outcome = TaskOutcome(
-                            state.index, state.label, value=value, obs=shipped
+                            state.index,
+                            state.label,
+                            value=value,
+                            obs=shipped,
+                            attempts=state.attempt,
                         )
                     else:
                         kind = _classify(payload) if status == "error" else status

@@ -15,6 +15,7 @@ Wraps the per-kernel discrete-event engine with
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
@@ -112,11 +113,22 @@ def kernel_bias_factor(spec, model_error: "ModelErrorConfig") -> float:
     """
     if not model_error.enabled:
         return 1.0
-    signature = spec.signature()
-    bucket_seed = (
-        _behavior_bucket_hash(spec) ^ model_error.seed_salt
-    ) % 2**63
-    bucket_rng = np.random.default_rng(bucket_seed)
+    return _bias_factor(spec.signature(), _behavior_bucket_hash(spec), model_error)
+
+
+@functools.lru_cache(maxsize=4096)
+def _bias_factor(
+    signature: int, bucket_hash: int, model_error: ModelErrorConfig
+) -> float:
+    """:func:`kernel_bias_factor`, memoized on what it reads of the spec.
+
+    Keyed on the signature rather than the spec: specs that compare
+    equal can still carry different signatures (``working_set_bytes``
+    of ``2**24`` and ``2.0**24``), and each must keep its own bias.
+    """
+    bucket_rng = np.random.default_rng(
+        (bucket_hash ^ model_error.seed_salt) % 2**63
+    )
     sigma = bucket_rng.uniform(model_error.sigma_min, model_error.sigma_max)
     bucket_bias = float(bucket_rng.lognormal(mean=0.0, sigma=sigma))
     spec_rng = np.random.default_rng(

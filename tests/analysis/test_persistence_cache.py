@@ -12,6 +12,7 @@ one warning instead of aborting the work it was checkpointing.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import warnings
@@ -20,6 +21,7 @@ import pytest
 
 from repro.analysis import EvaluationHarness
 from repro.analysis.persistence import (
+    CACHE_SCHEMA_VERSION,
     CacheDegradedWarning,
     NullRunCache,
     RunCache,
@@ -337,6 +339,47 @@ def test_sweep_continues_through_cache_degradation(tmp_path, monkeypatch):
     sweep_id = harness.last_manifest["sweep_id"]
     assert harness.run_cache.get_manifest(sweep_id) == harness.last_manifest
     assert results == EvaluationHarness().evaluate_cells(cells)  # still bit-exact
+
+
+# -- approximate-tier and launch-memo state ----------------------------------
+
+
+def _canonical_state(kind: str, payload) -> str:
+    """The envelope ``put_state`` must write, rendered the plain way."""
+    text = json.dumps(payload, sort_keys=True)
+    return json.dumps(
+        {
+            "kind": f"{kind}_state",
+            "schema": CACHE_SCHEMA_VERSION,
+            "payload": payload,
+            "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        },
+        sort_keys=True,
+    )
+
+
+def test_state_file_is_the_plain_envelope_dump(tmp_path):
+    cache = RunCache(tmp_path)
+    payload = {"zeta": [1.5, -0.0, 1e300], "alpha": {"ü": "\u2713", "n": None}}
+    cache.put_state("semcache", "ctx", payload)
+    (path,) = (tmp_path / "semcache").glob("*.json")
+    assert path.read_text(encoding="utf-8") == _canonical_state("semcache", payload)
+    assert RunCache(tmp_path).get_state("semcache", "ctx") == payload
+
+
+@pytest.mark.parametrize("kind", ["semcache", "launches"])
+def test_harness_state_files_are_plain_envelope_dumps(tmp_path, kind):
+    """A semcache index and a launch memo, as a real run writes them."""
+    harness = EvaluationHarness(
+        backend="serial", cache_dir=tmp_path / "cache", semcache=True
+    )
+    harness.evaluation("atax").pka_sim()
+    paths = list((tmp_path / "cache" / kind).glob("*.json"))
+    assert paths
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        payload = json.loads(text)["payload"]
+        assert text == _canonical_state(kind, payload)
 
 
 # -- sweep manifests ---------------------------------------------------------

@@ -5,20 +5,32 @@ transfer (no simulator run) with an error bound that holds against the
 ground truth; dissimilar queries and over-loose bounds escalate to the
 DES; transfer answers never touch the exact digest cache and never
 become donors; the index round-trips through the run cache's state
-document; and the lookup ledger reconciles exactly.
+document; the lookup ledger reconciles exactly; and the one-pass
+nearest-donor search decides exactly as the per-pair scan it replaced.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+from unittest import mock
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import EvaluationHarness
+from repro.analysis import semcache as semcache_module
 from repro.analysis.semcache import (
     SemanticCache,
     SemanticCacheConfig,
     TransferResult,
+    _dist_matrix,
+    _GroupRow,
+    _nearest_donors,
 )
 from repro.errors import ReproError
+from repro.gpu import get_gpu
 
 BASE = "atax"
 NEAR = "atax~nd1"
@@ -199,3 +211,203 @@ class TestConfig:
         harness = EvaluationHarness(backend="serial", cache_dir=tmp_path / "c")
         assert harness.semcache is None
         assert harness.transfer_probe(NEAR, "pka_sim") is None
+
+
+# -- the nearest-donor search --------------------------------------------
+
+V100 = get_gpu("V100")
+METHOD = "pka_sim"
+
+
+def _reference_distance(query: _GroupRow, donor: _GroupRow) -> float:
+    """The per-pair distance the one-pass search replaced, verbatim."""
+    query_log = np.log1p(np.asarray(query.counters, dtype=np.float64))
+    donor_log = np.log1p(np.asarray(donor.counters, dtype=np.float64))
+    return float(np.abs(query_log - donor_log).mean())
+
+
+def _reference_decision(config, partition, query):
+    """The per-pair scan the one-pass search replaced: ``"coverage"``,
+    ``"bound"``, or ``(each query row's donor entry, bound)``."""
+    total_mass = sum(row.warp_instructions for row in query)
+    donors = []
+    for row in query:
+        best = None
+        for entry in partition.values():
+            for donor_row in entry.rows:
+                dist = _reference_distance(row, donor_row)
+                if best is None or dist < best[0]:
+                    best = (dist, entry)
+        if best is None or best[0] > config.transfer_threshold:
+            return "coverage"
+        donors.append((row, best[1], best[0]))
+    bound = config.error_floor + config.safety_factor * sum(
+        (row.warp_instructions / total_mass) * config.lipschitz * dist
+        for row, _entry, dist in donors
+    )
+    if bound > config.max_error_bound:
+        return "bound"
+    return [entry for _row, entry, _dist in donors], bound
+
+
+def _rows_are_launches():
+    """Let a test hand ``_GroupRow`` lists to the tier as launch streams."""
+    return mock.patch.object(
+        semcache_module,
+        "_group_launches",
+        lambda launches, generation, max_groups: launches,
+    )
+
+
+def _ingest(tier: SemanticCache, name: str, rows: list[_GroupRow]) -> None:
+    mass = sum(row.warp_instructions for row in rows) or 1.0
+    tier._ingest(
+        workload=name,
+        method=METHOD,
+        gpu=V100,
+        launches=rows,
+        digest=f"digest-{name}",
+        result=SimpleNamespace(
+            total_cycles=3.0 * mass, total_instructions=mass, total_dram_bytes=mass
+        ),
+        model_error=None,
+        kernel_cycles=None,
+    )
+
+
+def _price(tier: SemanticCache, query: list[_GroupRow]):
+    return tier._price(
+        workload="query", method=METHOD, gpu=V100, launches=query, model_error=None
+    )
+
+
+def _row(counters, mass: float = 1000.0) -> _GroupRow:
+    return _GroupRow(counters=tuple(counters), warp_instructions=mass, launches=1)
+
+
+_COUNTERS = st.lists(
+    st.floats(0.0, 1e9, allow_nan=False, allow_infinity=False),
+    min_size=12,
+    max_size=12,
+)
+
+
+@st.composite
+def _search_cases(draw):
+    """Donor apps and a query drawn around a few shared base vectors, so
+    exact duplicates (ties), near matches and misses all occur."""
+    bases = draw(st.lists(_COUNTERS, min_size=1, max_size=4))
+
+    def group_row():
+        base = draw(st.sampled_from(bases))
+        if draw(st.booleans()):
+            scales = draw(
+                st.lists(st.floats(0.8, 1.25), min_size=12, max_size=12)
+            )
+            base = [value * scale for value, scale in zip(base, scales, strict=True)]
+        return _GroupRow(
+            counters=tuple(float(value) for value in base),
+            warp_instructions=draw(st.floats(1.0, 1e9)),
+            launches=draw(st.integers(1, 50)),
+        )
+
+    apps = [
+        [group_row() for _ in range(draw(st.integers(0, 4)))]
+        for _ in range(draw(st.integers(1, 8)))
+    ]
+    query = [group_row() for _ in range(draw(st.integers(1, 4)))]
+    config = SemanticCacheConfig(
+        transfer_threshold=draw(st.sampled_from([0.02, 0.1, 0.25, 1.0])),
+        max_error_bound=draw(st.sampled_from([0.2, 0.35, 5.0])),
+        max_apps_per_partition=draw(st.integers(1, 8)),
+    )
+    return config, apps, query
+
+
+class TestNearestDonorSearch:
+    @settings(max_examples=150, deadline=None)
+    @given(_search_cases())
+    def test_matches_the_per_pair_scan(self, case):
+        config, apps, query = case
+        tier = SemanticCache(config, run_cache=None, context="search")
+        with _rows_are_launches():
+            for index, rows in enumerate(apps):
+                _ingest(tier, f"app{index}", rows)
+            priced = _price(tier, query)
+        partition = tier._partitions[f"{METHOD}@{V100.name}"]
+        assert len(partition) <= config.max_apps_per_partition
+
+        donor_rows = [row for entry in partition.values() for row in entry.rows]
+        if donor_rows:
+            reference = np.array(
+                [[_reference_distance(q, d) for d in donor_rows] for q in query]
+            )
+            matrix = _dist_matrix(query, donor_rows)
+            assert matrix.dtype == np.float64
+            assert matrix.tobytes() == reference.tobytes()  # bitwise
+
+        expected = _reference_decision(config, partition, query)
+        if isinstance(expected, str):
+            assert priced == expected
+            return
+        entries, bound = expected
+        nearest = _nearest_donors(query, partition)
+        assert [entry for entry, _dist in nearest] == entries
+        assert all(
+            got is want for (got, _d), want in zip(nearest, entries, strict=True)
+        )
+        result, priced_bound, _by = priced
+        assert priced_bound == bound
+        assert result.transferred_from == tuple(
+            sorted({entry.workload for entry in entries})
+        )
+
+    def test_tie_goes_to_the_first_donor_row(self):
+        tier = SemanticCache(SemanticCacheConfig(), run_cache=None, context="tie")
+        twin = [1.0, 5.0, 20.0] * 4
+        with _rows_are_launches():
+            _ingest(tier, "first", [_row([1e6] * 12), _row(twin)])
+            _ingest(tier, "second", [_row(twin)])
+            _ingest(tier, "third", [_row(twin)])
+            result, _bound, _by = _price(tier, [_row(twin)])
+        assert result.transferred_from == ("first",)
+
+    def test_eviction_drops_the_evicted_donor(self):
+        config = SemanticCacheConfig(max_apps_per_partition=1)
+        tier = SemanticCache(config, run_cache=None, context="evict")
+        near = [_row([10.0] * 12)]
+        with _rows_are_launches():
+            _ingest(tier, "old", near)
+            first, _bound, _by = _price(tier, near)
+            _ingest(tier, "new", [_row([1e8] * 12)])  # evicts "old"
+            assert _price(tier, near) == "coverage"
+        assert first.transferred_from == ("old",)
+
+    def test_merged_donors_are_searched(self):
+        tier = SemanticCache(SemanticCacheConfig(), run_cache=None, context="merge")
+        near = [_row([10.0] * 12)]
+        with _rows_are_launches():
+            _ingest(tier, "far", [_row([1e8] * 12)])
+            assert _price(tier, near) == "coverage"
+            tier._merge_partitions(
+                {
+                    f"{METHOD}@{V100.name}": {
+                        "digest-merged": {
+                            "workload": "merged",
+                            "cycles_rate": 2.0,
+                            "dram_rate": 1.0,
+                            "total_warp_instructions": 1000.0,
+                            "total_launches": 1,
+                            "rows": [
+                                {
+                                    "counters": [10.0] * 12,
+                                    "warp_instructions": 1000.0,
+                                    "launches": 1,
+                                }
+                            ],
+                        }
+                    }
+                }
+            )
+            result, _bound, _by = _price(tier, near)
+        assert result.transferred_from == ("merged",)

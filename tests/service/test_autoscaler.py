@@ -363,7 +363,7 @@ class TestElasticPool:
         harness = EvaluationHarness(
             backend="serial",
             cache_dir=tmp_path / "cache",
-            fault_policy=FaultPolicy(max_retries=2),
+            fault_policy=FaultPolicy(max_retries=2, timeout_seconds=10.0),
         )
         supervisor = WorkerSupervisor(harness, workers=2)
         scheduler = Scheduler(harness, supervisor=supervisor)

@@ -311,17 +311,18 @@ class TestPoolFleetParity:
 
         # The pool runs one cell inline, so give it a healthy second one.
         pool = EvaluationHarness(backend=ProcessPoolBackend(2), fault_policy=policy)
+        settled = {}
         started = time.monotonic()
         result, _ = pool.evaluate_cells(
             [(WORKLOAD, "silicon", None), ("histo", "silicon", None)],
             fault_plan=FaultPlan(faults=(InjectedFault(0, kind, attempts),)),
+            progress=lambda outcome: settled.setdefault(outcome.index, outcome),
         )
         pool_s = time.monotonic() - started
         if isinstance(result, CellFailure):
             pool_end = ("failed", result.attempts)
         else:
-            retries = obs.get_tracer().counters.get("tasks.retries", 0)
-            pool_end = ("done", 1 + retries)
+            pool_end = ("done", settled[0].attempts)
 
         harness = EvaluationHarness(backend="serial", fault_policy=policy)
         supervisor = WorkerSupervisor(harness, workers=1, respawn_backoff=0.05)
@@ -340,15 +341,50 @@ class TestPoolFleetParity:
             fleet_s = time.monotonic() - started
         finally:
             scheduler.close()
-        fleet_end = (record.state, record.redispatches + 1)
-        if record.state == "failed":
-            assert record.attempts == record.redispatches + 1
+        fleet_end = (record.state, record.attempts)
 
         assert fleet_end == pool_end == ("failed" if persistent else "done", 2)
         if kind == "hang":
             charged = 2 if persistent else 1
             for elapsed in (pool_s, fleet_s):
                 assert elapsed < charged * PARITY_TIMEOUT + PARITY_SLACK
+
+
+class TestDoneAttempts:
+    """A job that succeeds on a retry reports every attempt it took, in
+    process and in the fleet alike."""
+
+    @pytest.mark.parametrize("fleet", [False, True], ids=["in-process", "fleet"])
+    def test_transient_fault_done_after_two_attempts(self, fleet):
+        harness = EvaluationHarness(
+            backend="serial", fault_policy=FaultPolicy(max_retries=1)
+        )
+        supervisor = WorkerSupervisor(harness, workers=1) if fleet else None
+        scheduler = Scheduler(harness, supervisor=supervisor)
+        scheduler.start()
+        try:
+            record, _ = scheduler.submit(
+                JobRequest(workload=WORKLOAD, method="silicon", fault="exception")
+            )
+            _wait_terminal(record)
+        finally:
+            scheduler.close()
+        assert record.state == "done"
+        assert record.attempts == 2
+
+    def test_submit_time_answer_keeps_zero_attempts(self, tmp_path):
+        harness = EvaluationHarness(backend="serial", cache_dir=tmp_path / "c")
+        harness.evaluation(WORKLOAD).silicon()
+        scheduler = Scheduler(harness)
+        scheduler.start()
+        try:
+            record, _ = scheduler.submit(
+                JobRequest(workload=WORKLOAD, method="silicon")
+            )
+            _wait_terminal(record)
+        finally:
+            scheduler.close()
+        assert (record.state, record.source, record.attempts) == ("done", "cache", 0)
 
 
 class TestWorkerLifetime:
