@@ -56,7 +56,7 @@ def main() -> None:
             print(f"\nmetrics   jobs={metrics['jobs']} states={metrics['states']}")
             print(f"          submitted={counters['service.jobs_submitted']} "
                   f"dedup_hits={counters.get('service.dedup_hits', 0)} "
-                  f"fanouts={counters.get('service.backend_fanouts', 0)}")
+                  f"computed={metrics['latency_ms']['computed']['count']}")
 
             # Graceful shutdown: finish everything, write a drain manifest
             # into the run cache, report whether any accepted job was lost.

@@ -61,9 +61,10 @@ def check_service_load(report: dict) -> str:
     assert counters["service.jobs_submitted"] == fresh, counters
     assert counters.get("service.dedup_hits", 0) == report["deduplicated"], counters
     assert counters["service.jobs_done"] == counters["service.jobs_submitted"], counters
-    # Dedup means strictly fewer backend fan-outs than jobs, and the
-    # injected transient fault was retried, not fatal.
-    assert counters.get("service.backend_fanouts", 0) < report["accepted"], counters
+    # Dedup means strictly fewer computed jobs than accepted ones, and
+    # the injected transient fault was retried, not fatal.
+    computed = report["server_metrics"]["latency_ms"]["computed"]["count"]
+    assert computed < report["accepted"], (computed, report["accepted"])
     assert counters.get("tasks.retries", 0) >= 1, counters
     return "loadgen report reconciles with /metricsz"
 

@@ -945,9 +945,10 @@ class EvaluationHarness:
     ) -> list[AppRunResult | KernelSelection | CellFailure | None]:
         """Compute independent (workload, method, gpu) cells, in order.
 
-        With a serial backend this is a plain loop.  With a process-pool
-        backend each cell runs in a worker (which keeps one harness per
-        configuration alive across cells) and the results come back in
+        With a serial backend, or for one cell, this is a plain loop on
+        this harness.  Otherwise each cell runs in a pool worker (which
+        keeps one harness per configuration alive across cells) and the
+        results come back in
         submission order; every computed result is also stored into this
         harness's in-memory memo tables, so subsequent accessor calls hit
         immediately.  When an on-disk cache is configured, workers share
@@ -975,9 +976,9 @@ class EvaluationHarness:
         each cell's :class:`~repro.sim.parallel.TaskOutcome` as soon as
         the runtime decides it, inline or on the pool, before the sweep
         finishes (a completed cell's ``value`` is its
-        :class:`CellOutcome`).  The serving scheduler uses it to complete
-        jobs without waiting for the whole batch.  It is called from the
-        dispatching thread; callbacks must be fast and must not raise.
+        :class:`CellOutcome`).  The serving layer reads a job's attempts
+        from it.  It is called from the dispatching thread; callbacks
+        must be fast and must not raise.
 
         ``crash_in_process=True`` makes an injected ``"crash"`` fault
         genuinely ``os._exit`` the calling process instead of simulating
@@ -985,7 +986,7 @@ class EvaluationHarness:
         fleet worker processes set it — it is how a poison job actually
         kills its worker so the supervisor's re-dispatch and quarantine
         paths are exercised for real.  It applies to the in-process
-        execution path only (serial backend / single job).
+        execution path only (serial backend / single cell).
         """
         policy = fault_policy if fault_policy is not None else self.fault_policy
         plan = fault_plan if fault_plan is not None else self.fault_plan
@@ -996,10 +997,13 @@ class EvaluationHarness:
             name = workload if isinstance(workload, str) else workload.name
             normalized.append((name, method, gpu))
         labels = [cell_label(w, m, g) for w, m, g in normalized]
+        # One cell gains nothing from a pool: it runs here, on this
+        # harness, rather than inline on a second, process-local one.
+        inline = self.backend.jobs == 1 or len(normalized) == 1
         with obs_span(
             "harness.evaluate_cells", cells=len(labels), jobs=self.backend.jobs
         ):
-            if self.backend.jobs == 1:
+            if inline:
 
                 def compute(cell):
                     workload, method, gpu = cell
@@ -1035,7 +1039,7 @@ class EvaluationHarness:
         ):
             if outcome.ok:
                 cell: CellOutcome = outcome.value
-                if self.backend.jobs != 1:  # inline cells are memoized already
+                if not inline:  # inline cells are memoized already
                     evaluation = self.evaluation(workload)
                     evaluation._cache.setdefault(evaluation.cell_key(method, gpu), cell)
                 results.append(cell.value)

@@ -36,11 +36,13 @@ Commands
 ``pka serve [--port P] [--max-queue N] [--workers N|auto] [--journal FILE]``
     Run the evaluation service (see ``docs/API.md``, "Service mode"):
     a JSON HTTP job API over the harness with single-flight dedup,
-    batching, cache-aware fast paths and graceful drain on
-    SIGTERM/SIGINT.  ``--workers N`` enables fleet mode: N supervised
-    worker processes with exit-or-deadline liveness, re-dispatch,
-    poison-job quarantine, and a crash-safe job journal for durable
-    recovery across coordinator restarts (``docs/OPERATIONS.md``).
+    one-job dispatch, cache-aware fast paths and graceful drain on
+    SIGTERM/SIGINT.  Jobs run one at a time in the server process
+    (``--jobs N`` shards each job's run).  ``--workers N`` runs N jobs
+    at once in fleet mode: N supervised worker processes with
+    exit-or-deadline liveness, re-dispatch, poison-job quarantine, and a
+    crash-safe job journal for durable recovery across coordinator
+    restarts (``docs/OPERATIONS.md``).
     ``--workers auto`` (or ``--min-workers``/``--max-workers``) makes
     the fleet elastic: an SLO-driven autoscaler grows and shrinks the
     pool, and ``--default-deadline`` adds deadline-aware admission.
@@ -64,6 +66,8 @@ Every command accepts the execution flags (see ``docs/API.md``,
 ``--jobs N``
     Execution backend: ``serial`` (default), ``auto`` (one worker per
     CPU) or a worker count.  Parallel runs are bit-identical to serial.
+    ``serve`` runs one job at a time, so there it shards each job's run;
+    ``--workers N`` is the parallelism across jobs.
 ``--intra-jobs N``
     Intra-run backend: shard one run's kernel stream and block ranges
     across workers (default: inherit ``--jobs``).  A pure execution
@@ -650,7 +654,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             max_queue=args.max_queue,
-            batch_max=args.batch_max,
             drain_timeout=args.drain_timeout,
             workers=workers,
             journal_path=journal_path,
@@ -954,7 +957,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         default=None,
         metavar="N",
-        help="execution backend: 'serial' (default), 'auto' or a worker count",
+        help="execution backend: 'serial' (default), 'auto' or a worker "
+        "count; in 'serve' it shards each job's run (parallelism across "
+        "jobs is --workers)",
     )
     common.add_argument(
         "--intra-jobs",
@@ -1201,13 +1206,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="queue depth bound; beyond it submissions get HTTP 429",
     )
     serve.add_argument(
-        "--batch-max",
-        type=int,
-        default=32,
-        metavar="N",
-        help="max jobs coalesced into one backend fan-out",
-    )
-    serve.add_argument(
         "--drain-timeout",
         type=float,
         default=30.0,
@@ -1218,9 +1216,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         default=None,
         metavar="N|auto",
-        help="fleet mode: N supervised worker processes execute jobs; "
-        "'auto' enables the elastic fleet with autoscaling defaults "
-        "(default: PKA_SERVICE_WORKERS or 0 = in-process dispatch)",
+        help="fleet mode: N supervised worker processes run N jobs at "
+        "once; 'auto' enables the elastic fleet with autoscaling defaults "
+        "(default: PKA_SERVICE_WORKERS or 0 = in-process dispatch, one "
+        "job at a time)",
     )
     serve.add_argument(
         "--min-workers",

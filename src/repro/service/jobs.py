@@ -26,9 +26,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+from repro.analysis.harness import CellFailure, CellOutcome, EvaluationHarness
 from repro.errors import InvalidJobRequestError
 from repro.obs import now_us
-from repro.sim.faults import FAULT_KINDS, PERSISTENT
+from repro.sim.faults import FAULT_KINDS, PERSISTENT, FaultPlan, InjectedFault
+from repro.sim.parallel import FaultPolicy
 
 __all__ = [
     "JOB_STATES",
@@ -37,6 +39,7 @@ __all__ = [
     "JobRequest",
     "job_id_for",
     "parse_job_fault",
+    "run_job_cell",
 ]
 
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
@@ -47,10 +50,10 @@ def parse_job_fault(text: str) -> tuple[str, int]:
     """Parse a job-level fault spec: ``kind`` or ``kindxN`` or ``kindxP``.
 
     The same vocabulary as the CLI's ``--inject-faults`` plans, minus the
-    task index (the scheduler assigns that when it places the job in a
-    batch).  ``exception`` poisons the first attempt only (transient,
-    survivable by retry); ``exceptionx99`` or ``exceptionxP`` is
-    persistent poison the job cannot survive.
+    task index (a job runs as the one task of its dispatch).
+    ``exception`` poisons the first attempt only (transient, survivable
+    by retry); ``exceptionx99`` or ``exceptionxP`` is persistent poison
+    the job cannot survive.
     """
     bare = text.strip().lower()
     if bare in FAULT_KINDS:
@@ -77,15 +80,55 @@ def parse_job_fault(text: str) -> tuple[str, int]:
     return kind, attempts
 
 
+def run_job_cell(
+    harness: EvaluationHarness,
+    cell: tuple,
+    fault: str | None,
+    *,
+    spent: int = 0,
+    fault_policy: FaultPolicy | None = None,
+    crash_in_process: bool = False,
+) -> tuple[CellOutcome | CellFailure, int]:
+    """Run one job's cell: its outcome or failure, and the attempts taken.
+
+    Both dispatch modes run a job through here.  ``fault`` (a
+    :func:`parse_job_fault` spec) poisons the job's first attempts, less
+    the ``spent`` ones earlier dispatches made.  ``fault_policy``
+    (default: the harness's) decides the retries, and an injected hang
+    sleeps for the harness policy's hang time, so it outlasts the job's
+    deadline.  ``crash_in_process`` makes an injected crash kill this
+    process, as a fleet worker's must.
+    """
+    plan = None
+    if fault is not None:
+        kind, attempts = parse_job_fault(fault)
+        if attempts > spent:
+            hang = harness.fault_policy.hang_seconds()
+            plan = FaultPlan(faults=(InjectedFault(0, kind, attempts - spent, hang),))
+    decided = []
+    [result] = harness.evaluate_cells(
+        [cell],
+        strict=False,
+        fault_policy=fault_policy,
+        fault_plan=plan,
+        crash_in_process=crash_in_process,
+        progress=decided.append,
+    )
+    if isinstance(result, CellFailure):
+        return result, result.attempts
+    [outcome] = decided
+    return outcome.value, outcome.attempts
+
+
 @dataclass(frozen=True)
 class JobRequest:
     """What a client asks for: one cell, plus serving metadata.
 
     ``priority`` orders dispatch (lower runs first); ``client``
     participates in the queue's per-client fairness; ``fault`` is the
-    chaos-testing passthrough (see :func:`parse_job_fault`) that the
-    scheduler turns into a :class:`~repro.sim.faults.FaultPlan` entry
-    for this job's slot in its batch.
+    chaos-testing passthrough (see :func:`parse_job_fault`) that
+    :func:`run_job_cell` turns into a :class:`~repro.sim.faults.FaultPlan`
+    for the job's one cell.
     """
 
     workload: str

@@ -91,27 +91,17 @@ class JobQueue:
             self._not_empty.notify()
 
     def take_batch(
-        self,
-        max_jobs: int,
-        *,
-        linger: float = 0.02,
-        timeout: float | None = None,
+        self, max_jobs: int, *, timeout: float | None = None
     ) -> list[JobRecord]:
-        """Dequeue up to ``max_jobs`` jobs, fairly.
+        """Dequeue up to ``max_jobs`` jobs, fairly, as soon as there is one.
 
         Blocks up to ``timeout`` seconds for the first job (``None`` =
-        forever, return ``[]`` only when closed), then lingers briefly so
-        a burst of submissions coalesces into one batch instead of many
-        single-job fan-outs.
+        forever, return ``[]`` only when closed).
         """
         with self._lock:
             while self._depth == 0 and not self._closed:
                 if not self._not_empty.wait(timeout):
                     return []
-        if linger > 0:
-            # Outside the lock: give a burst time to arrive.
-            threading.Event().wait(linger)
-        with self._lock:
             return self._drain_locked(max_jobs)
 
     def _drain_locked(self, max_jobs: int) -> list[JobRecord]:

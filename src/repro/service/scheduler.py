@@ -1,4 +1,4 @@
-"""The serving scheduler: dedup, batching, durability, and completion.
+"""The serving scheduler: dedup, dispatch, durability, and completion.
 
 Three serving-layer optimizations happen here, all invisible to the
 client beyond latency:
@@ -17,12 +17,12 @@ client beyond latency:
   Fault-carrying jobs skip the probe (and get salted ids): an injected
   fault must actually reach the backend, not be satisfied from cache.
 
-* **Batching.**  In in-process mode the dispatcher lingers briefly to
-  coalesce a burst of submissions into one :meth:`~repro.analysis.harness.
-  EvaluationHarness.evaluate_cells` fan-out, amortizing pool dispatch
-  overhead.  Jobs still complete individually, as soon as their cell's
-  :class:`~repro.sim.parallel.TaskOutcome` is decided, via the
-  harness's job-granular ``progress`` hook.
+* **One dispatch rule.**  When a seat is free, the next queued job is
+  begun and its one cell run (:func:`~repro.service.jobs.run_job_cell`);
+  nothing waits for a burst and no two jobs share a fan-out.  In-process
+  mode has one seat, the dispatcher thread, and retries a job inline
+  under the harness's fault policy; fleet mode has a seat per worker
+  process and makes each dispatch one attempt.
 
 Two robustness layers stack on top in fleet mode:
 
@@ -64,15 +64,9 @@ from repro.errors import (
     WorkersUnavailableError,
 )
 from repro.obs import get_tracer, now_us, obs_count, span_percentiles
-from repro.service.jobs import (
-    JobRecord,
-    JobRequest,
-    job_id_for,
-    parse_job_fault,
-)
+from repro.service.jobs import JobRecord, JobRequest, job_id_for, run_job_cell
 from repro.service.journal import JobJournal, lifecycles
 from repro.service.queue import JobQueue
-from repro.sim.faults import FaultPlan, InjectedFault
 
 __all__ = ["Scheduler"]
 
@@ -81,7 +75,7 @@ _HITS = {"cache": "cache_hits", "transfer": "transfer_hits", "predicted": "predi
 
 
 class Scheduler:
-    """Single-flight, batching job scheduler over an EvaluationHarness.
+    """Single-flight job scheduler over an EvaluationHarness.
 
     Construction does not start the dispatcher; call :meth:`start`.
     (Tests exploit this: submissions to an unstarted scheduler stay
@@ -103,8 +97,6 @@ class Scheduler:
         harness: EvaluationHarness,
         *,
         max_queue: int = 256,
-        batch_max: int = 32,
-        linger: float = 0.02,
         journal: JobJournal | None = None,
         supervisor=None,
         autoscaler=None,
@@ -112,14 +104,10 @@ class Scheduler:
         default_deadline: float | None = None,
         brownout_hold: float = 2.0,
     ) -> None:
-        if batch_max < 1:
-            raise ValueError("batch_max must be >= 1")
         if default_deadline is not None and not default_deadline > 0:
             raise ValueError("default_deadline must be > 0 seconds")
         self.harness = harness
         self.queue = JobQueue(max_depth=max_queue)
-        self.batch_max = batch_max
-        self.linger = linger
         self.journal = journal
         self.supervisor = supervisor
         self.autoscaler = autoscaler
@@ -547,7 +535,7 @@ class Scheduler:
                 if plucked is not None:
                     self._complete(record, "cancelled")
                     return record
-            # Between take_batch and the running transition there is a
+            # Between the take and the running transition there is a
             # sliver where the job is neither in the queue nor marked
             # running; treat it like running — it is about to execute.
         raise JobNotFinishedError(
@@ -562,7 +550,7 @@ class Scheduler:
 
     def begin(self, record: JobRecord) -> bool:
         """Transition queued -> running at dispatch; False if the job was
-        cancelled (or completed) in the take-batch window."""
+        cancelled (or completed) in the take window."""
         with self._lock:
             if record.state != "queued":
                 return False
@@ -644,68 +632,32 @@ class Scheduler:
     # -- dispatch --------------------------------------------------------
 
     def _dispatch_loop(self) -> None:
+        # The one dispatch rule: the seat is free, so take one job and
+        # run its one cell.  Nothing waits for a burst to arrive.
         while not self._stop.is_set():
-            batch = self.queue.take_batch(
-                self.batch_max, linger=self.linger, timeout=0.1
-            )
-            if not batch:
-                continue
-            try:
-                self._run_batch(batch)
-            except Exception as exc:  # defensive: never kill the loop
-                for record in batch:
-                    if not record.terminal:
-                        self._complete(
-                            record,
-                            "failed",
-                            error={
-                                "kind": "scheduler",
-                                "error_type": type(exc).__name__,
-                                "message": str(exc),
-                            },
-                        )
+            for record in self.queue.take_batch(1, timeout=0.1):
+                if self.begin(record):
+                    self._run(record)
 
-    def _run_batch(self, batch: list[JobRecord]) -> None:
-        ready = [record for record in batch if self.begin(record)]
-        if not ready:
+    def _run(self, record: JobRecord) -> None:
+        request = record.request
+        cell = (request.workload, request.method, request.gpu)
+        try:
+            result, attempts = run_job_cell(self.harness, cell, request.fault)
+        except Exception as exc:  # defensive: never kill the loop
+            error = {
+                "kind": "scheduler",
+                "error_type": type(exc).__name__,
+                "message": str(exc),
+            }
+            self._complete(record, "failed", error=error)
             return
-        cells = [
-            (r.request.workload, r.request.method, r.request.gpu) for r in ready
-        ]
-        faults = []
-        for index, record in enumerate(ready):
-            if record.request.fault is not None:
-                kind, attempts = parse_job_fault(record.request.fault)
-                faults.append(
-                    InjectedFault(task_index=index, kind=kind, attempts=attempts)
-                )
-        plan = FaultPlan(faults=tuple(faults)) if faults else None
-        obs_count("service.backend_fanouts")
-        obs_count("service.batch_cells", len(ready))
-
-        def progress(outcome) -> None:
-            # Job-granular completion: don't make job 1 wait for job 32.
-            if outcome.ok:
-                self._complete(
-                    ready[outcome.index],
-                    "done",
-                    outcome=outcome.value,
-                    attempts=outcome.attempts,
-                )
-
-        results = self.harness.evaluate_cells(
-            cells, strict=False, fault_plan=plan, progress=progress
-        )
-        # Every completed cell finished through ``progress``; the
-        # failures finish here, as the sweep's CellFailure records.
-        for record, result in zip(ready, results, strict=True):
-            if isinstance(result, CellFailure) and not record.terminal:
-                self._complete(
-                    record,
-                    "failed",
-                    error=result.to_record(),
-                    attempts=result.attempts,
-                )
+        if isinstance(result, CellFailure):
+            self._complete(
+                record, "failed", error=result.to_record(), attempts=attempts
+            )
+        else:
+            self._complete(record, "done", outcome=result, attempts=attempts)
 
     def _complete(
         self,

@@ -251,8 +251,6 @@ class PKAService:
         host: str = "127.0.0.1",
         port: int = 0,
         max_queue: int = 256,
-        batch_max: int = 32,
-        linger: float = 0.02,
         drain_timeout: float = 30.0,
         workers: int = 0,
         journal_path: str | None = None,
@@ -295,8 +293,6 @@ class PKAService:
         self.scheduler = Scheduler(
             harness,
             max_queue=max_queue,
-            batch_max=batch_max,
-            linger=linger,
             journal=self.journal,
             supervisor=self.supervisor,
             autoscaler=self.autoscaler,

@@ -53,8 +53,7 @@ from typing import TYPE_CHECKING
 
 from repro.analysis.harness import CellFailure, CellOutcome, EvaluationHarness
 from repro.obs import obs_count
-from repro.service.jobs import JobRecord, parse_job_fault
-from repro.sim.faults import FaultPlan, InjectedFault
+from repro.service.jobs import JobRecord, run_job_cell
 from repro.sim.parallel import FAIL_FAST, _Seat, kill_worker, worker_context
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -78,17 +77,16 @@ def _worker_main(
 ) -> None:
     """Fleet worker: one attempt per job with a local harness, until ``None``.
 
-    A task is ``(job_id, cell, fault_kind, fault_attempts)``.  The cell
-    runs with no retries and no in-process timeout: the coordinator
-    charges failed attempts and enforces the deadline.  Injected "crash"
-    faults run with ``crash_in_process=True`` so they genuinely
-    ``os._exit`` this process, and injected hangs sleep past the
-    coordinator's deadline: that is how poison jobs exercise the
+    A task is ``(job_id, cell, fault, spent)``: the job's fault spec and
+    the attempts its earlier dispatches spent.  The cell runs with no
+    retries and no in-process timeout: the coordinator charges failed
+    attempts and enforces the deadline.  Injected "crash" faults
+    genuinely ``os._exit`` this process, and injected hangs sleep past
+    the coordinator's deadline: that is how poison jobs exercise the
     supervisor.  ``send`` replies on this worker's own pipe.  A worker
     whose ``owner`` died without reaping it exits once idle.
     """
     harness = EvaluationHarness(**harness_spec)
-    hang = harness.fault_policy.hang_seconds()
     while True:
         try:
             task = task_queue.get(timeout=1.0)
@@ -98,23 +96,15 @@ def _worker_main(
             continue
         if task is None:
             return
-        job_id, cell, fault_kind, fault_attempts = task
-        plan = None
-        if fault_kind is not None:
-            plan = FaultPlan(
-                faults=(InjectedFault(0, fault_kind, fault_attempts, hang),)
-            )
-        answers = []
-        [result] = harness.evaluate_cells(
-            [cell],
-            strict=False,
+        job_id, cell, fault, spent = task
+        result, _ = run_job_cell(
+            harness,
+            cell,
+            fault,
+            spent=spent,
             fault_policy=FAIL_FAST,
-            fault_plan=plan,
             crash_in_process=True,
-            progress=answers.append,
         )
-        if not isinstance(result, CellFailure):
-            result = answers[0].value  # the cell's CellOutcome
         send(("finished", worker_id, generation, job_id, _serialize_result(result)))
 
 
@@ -485,9 +475,7 @@ class WorkerSupervisor:
                     idle = self._idle_slots_locked()
                 if self._stop.is_set():
                     return
-            batch = scheduler.queue.take_batch(
-                len(idle), linger=0.0, timeout=_BACKSTOP
-            )
+            batch = scheduler.queue.take_batch(len(idle), timeout=_BACKSTOP)
             if not batch:
                 continue
             leftovers: list[JobRecord] = []
@@ -516,17 +504,10 @@ class WorkerSupervisor:
     def _task_for(record: JobRecord) -> tuple:
         request = record.request
         cell = (request.workload, request.method, request.gpu)
-        fault_kind = None
-        fault_attempts = 0
-        if request.fault is not None:
-            fault_kind, fault_attempts = parse_job_fault(request.fault)
-            # Each dispatch is one attempt, so a fault poisons the first
-            # ``attempts`` dispatches: "crashx2" kills two workers, then
-            # the job runs.
-            fault_attempts -= record.redispatches
-            if fault_attempts <= 0:
-                fault_kind = None
-        return (record.job_id, cell, fault_kind, fault_attempts)
+        # Each dispatch is one attempt, so a fault poisons the first
+        # ``attempts`` dispatches: "crashx2" kills two workers, then the
+        # job runs.
+        return (record.job_id, cell, request.fault, record.redispatches)
 
     # ------------------------------------------------------------------
     # The coordinator: one loop over every worker's pipe and sentinel

@@ -305,3 +305,20 @@ class TestTruncatedBackendRejected:
             harness.evaluate_cells(
                 [("fdtd2d", "silicon", None), ("cutcp", "silicon", None)]
             )
+
+
+class TestOneCellRunsHere:
+    def test_pool_backed_single_cell_builds_no_second_harness(self, monkeypatch):
+        """One cell on a pool-backed harness runs on that harness: no
+        process-local worker harness is built in the calling process,
+        and the caller's own memo holds the cell."""
+        from repro.analysis import harness as harness_module
+
+        workers = {}
+        monkeypatch.setattr(harness_module, "_WORKER_HARNESSES", workers)
+        harness = EvaluationHarness(backend=2)
+        [run] = harness.evaluate_cells([("atax", "silicon", "volta")])
+        assert workers == {}
+        evaluation = harness.evaluation("atax")
+        cell = evaluation._cache[evaluation.cell_key("silicon", VOLTA_V100)]
+        assert cell.value is run

@@ -85,7 +85,7 @@ class TestJobQueue:
         records = [_record(digest=f"d{i}") for i in range(3)]
         for record in records:
             queue.put(record)
-        assert queue.take_batch(8, linger=0, timeout=0.1) == records
+        assert queue.take_batch(8, timeout=0.1) == records
 
     def test_priority_bands_dispatch_low_first(self):
         queue = JobQueue(max_depth=8)
@@ -93,7 +93,7 @@ class TestJobQueue:
         express = _record(priority=0, digest="express")
         queue.put(bulk)
         queue.put(express)
-        batch = queue.take_batch(8, linger=0, timeout=0.1)
+        batch = queue.take_batch(8, timeout=0.1)
         assert batch == [express, bulk]
 
     def test_round_robin_across_clients(self):
@@ -107,7 +107,7 @@ class TestJobQueue:
         queue.put(single)
         for record in flood[3:]:
             queue.put(record)
-        batch = queue.take_batch(3, linger=0, timeout=0.1)
+        batch = queue.take_batch(3, timeout=0.1)
         assert single in batch
 
     def test_depth_bound_raises_typed_backpressure(self):
@@ -128,11 +128,11 @@ class TestJobQueue:
         queue.put(drop)
         assert queue.remove(drop.job_id) is drop
         assert queue.remove("j-missing") is None
-        assert queue.take_batch(8, linger=0, timeout=0.1) == [keep]
+        assert queue.take_batch(8, timeout=0.1) == [keep]
 
     def test_take_batch_times_out_empty(self):
         queue = JobQueue(max_depth=2)
-        assert queue.take_batch(4, linger=0, timeout=0.05) == []
+        assert queue.take_batch(4, timeout=0.05) == []
 
     def test_take_batch_wakes_on_put(self):
         queue = JobQueue(max_depth=2)
@@ -140,7 +140,7 @@ class TestJobQueue:
         result: list = []
 
         def taker() -> None:
-            result.extend(queue.take_batch(4, linger=0, timeout=2.0))
+            result.extend(queue.take_batch(4, timeout=2.0))
 
         thread = threading.Thread(target=taker)
         thread.start()
@@ -153,7 +153,7 @@ class TestJobQueue:
         result: list = ["sentinel"]
 
         def taker() -> None:
-            result[:] = queue.take_batch(4, linger=0, timeout=None)
+            result[:] = queue.take_batch(4, timeout=None)
 
         thread = threading.Thread(target=taker)
         thread.start()

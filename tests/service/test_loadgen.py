@@ -94,7 +94,7 @@ class TestRunLoad:
         harness = EvaluationHarness(
             backend="serial", cache_dir=tmp_path / "cache"
         )
-        service = PKAService(harness, port=0, max_queue=64, batch_max=8)
+        service = PKAService(harness, port=0, max_queue=64)
         service.start()
         try:
             client = ServiceClient(port=service.port, timeout=10.0)

@@ -34,7 +34,7 @@ def service(tmp_path):
     harness = EvaluationHarness(
         backend="serial", cache_dir=tmp_path / "cache", predict=True
     )
-    service = PKAService(harness, port=0, max_queue=32, batch_max=8)
+    service = PKAService(harness, port=0, max_queue=32)
     service.start()
     yield service
     service.close()
@@ -146,7 +146,6 @@ class TestTierPrecedence:
             ),
             port=0,
             max_queue=32,
-            batch_max=8,
         )
         first.start()
         try:
@@ -167,7 +166,7 @@ class TestTierPrecedence:
         assert harness.run_cache.get_run(
             harness.cell_digest_for(TRAIN[0], "full_sim")
         ) is not None
-        service = PKAService(harness, port=0, max_queue=32, batch_max=8)
+        service = PKAService(harness, port=0, max_queue=32)
         service.start()
         try:
             client = ServiceClient(port=service.port, timeout=10.0)

@@ -45,9 +45,9 @@ def _wait_terminal(record, timeout: float = 30.0) -> None:
 
 class TestSingleFlight:
     def test_concurrent_identical_submissions_one_fanout(self, cached_harness):
-        """Two racing identical submissions -> one backend fan-out, two
-        successful observers (the satellite acceptance check)."""
-        scheduler = Scheduler(cached_harness, batch_max=8)
+        """Two racing identical submissions -> one computation, two
+        successful observers."""
+        scheduler = Scheduler(cached_harness)
         request = JobRequest(workload=WORKLOAD, method="silicon")
         records = []
         barrier = threading.Barrier(2)
@@ -70,7 +70,7 @@ class TestSingleFlight:
         assert records[0].state == "done"
         assert records[0].result is not None
         counters = obs.get_tracer().counters
-        assert counters["service.backend_fanouts"] == 1
+        assert scheduler.metrics()["latency_ms"]["computed"]["count"] == 1
         assert counters["service.dedup_hits"] == 1
         assert counters["service.jobs_submitted"] == 1
         assert counters["service.jobs_done"] == 1
@@ -99,6 +99,34 @@ class TestSingleFlight:
         assert faulted.job_id != clean.job_id
 
 
+class TestDispatch:
+    def test_one_job_per_dispatch_without_waiting_for_a_burst(
+        self, cached_harness
+    ):
+        """Jobs queued together still run one cell per evaluate_cells
+        call: in-process dispatch never holds a job back to batch it."""
+        calls = []
+        evaluate_cells = cached_harness.evaluate_cells
+
+        def recording(cells, **kwargs):
+            calls.append(len(cells))
+            return evaluate_cells(cells, **kwargs)
+
+        cached_harness.evaluate_cells = recording
+        scheduler = Scheduler(cached_harness)
+        records = [
+            scheduler.submit(JobRequest(workload=w, method="silicon"))[0]
+            for w in ("gauss_208", "histo", "fdtd2d")
+        ]
+        assert scheduler.queue.depth == 3
+        scheduler.start()
+        for record in records:
+            _wait_terminal(record)
+        scheduler.close()
+        assert [record.state for record in records] == ["done"] * 3
+        assert calls == [1, 1, 1]
+
+
 class TestCacheFastPath:
     def test_warm_cache_completes_without_queue_or_dispatch(self, tmp_path):
         cache_dir = tmp_path / "cache"
@@ -115,10 +143,11 @@ class TestCacheFastPath:
         assert record.source == "cache"
         assert record.result is not None
         assert record.latency_ms is not None
+        assert record.queue_wait_ms is None
         assert scheduler.queue.depth == 0
         counters = obs.get_tracer().counters
         assert counters["service.cache_hits"] == 1
-        assert "service.backend_fanouts" not in counters
+        assert scheduler.metrics()["latency_ms"]["computed"]["count"] == 0
 
     def test_faulted_job_skips_the_cache_probe(self, tmp_path):
         cache_dir = tmp_path / "cache"
@@ -223,7 +252,7 @@ class TestFailures:
 
 class TestDrain:
     def test_drain_completes_all_accepted_jobs(self, cached_harness):
-        scheduler = Scheduler(cached_harness, batch_max=4)
+        scheduler = Scheduler(cached_harness)
         scheduler.start()
         records = [
             scheduler.submit(JobRequest(workload=w, method="silicon"))[0]

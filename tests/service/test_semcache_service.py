@@ -40,7 +40,7 @@ def service(tmp_path):
     harness = EvaluationHarness(
         backend="serial", cache_dir=tmp_path / "cache", semcache=True
     )
-    service = PKAService(harness, port=0, max_queue=32, batch_max=8)
+    service = PKAService(harness, port=0, max_queue=32)
     service.start()
     yield service
     service.close()

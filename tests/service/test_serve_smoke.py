@@ -27,11 +27,13 @@ def smoke():
 SERVICE_REPORT = {
     "submitted": 20, "accepted": 20, "completed": 20, "deduplicated": 9,
     "rejected": 0, "errors": 0,
-    "server_metrics": {"counters": {
-        "service.jobs_submitted": 11, "service.dedup_hits": 9,
-        "service.jobs_done": 11, "service.backend_fanouts": 11,
-        "tasks.retries": 1,
-    }},
+    "server_metrics": {
+        "counters": {
+            "service.jobs_submitted": 11, "service.dedup_hits": 9,
+            "service.jobs_done": 11, "tasks.retries": 1,
+        },
+        "latency_ms": {"computed": {"count": 11}},
+    },
 }
 FLEET_REPORT = {
     "submitted": 20, "accepted": 20, "completed": 20, "shed": 0, "errors": 0,
@@ -108,9 +110,7 @@ CASES = {
     ),
     "fanout-per-job": (
         "check_service_load", (SERVICE_REPORT,),
-        lambda r: r["server_metrics"]["counters"].update(
-            {"service.backend_fanouts": 20}
-        ), 0,
+        lambda r: r["server_metrics"]["latency_ms"]["computed"].update(count=20), 0,
     ),
     "fleet-job-lost": (
         "check_fleet_load", (FLEET_REPORT, FLEET_METRICS),

@@ -1,6 +1,6 @@
 """End-to-end service tests over real HTTP, including the acceptance
-scenario: warm cache + duplicate-heavy load -> fewer fan-outs than jobs,
-fast cache-hit latency, and a drain that loses nothing."""
+scenario: warm cache + duplicate-heavy load -> fewer computations than
+jobs, cache hits that never queue, and a drain that loses nothing."""
 
 from __future__ import annotations
 
@@ -46,7 +46,7 @@ def _obs_reset():
 @pytest.fixture
 def service(tmp_path):
     harness = EvaluationHarness(backend="serial", cache_dir=tmp_path / "cache")
-    service = PKAService(harness, port=0, max_queue=32, batch_max=8)
+    service = PKAService(harness, port=0, max_queue=32)
     service.start()
     yield service
     service.close()
@@ -179,7 +179,15 @@ class TestAcceptance:
         # Phase 2: fresh service over the warm cache (its registry is
         # empty, so completions must come from the disk cache, not memos).
         harness = EvaluationHarness(backend="serial", cache_dir=cache_dir)
-        service = PKAService(harness, port=0, max_queue=64, batch_max=8)
+        computed_cells = []
+        evaluate_cells = harness.evaluate_cells
+
+        def recording(cells, **kwargs):
+            computed_cells.extend(cells)
+            return evaluate_cells(cells, **kwargs)
+
+        harness.evaluate_cells = recording
+        service = PKAService(harness, port=0, max_queue=64)
         service.start()
         try:
             client = ServiceClient(port=service.port, timeout=10.0)
@@ -204,17 +212,30 @@ class TestAcceptance:
 
             metrics = report.server_metrics
             counters = metrics["counters"]
-            # Dedup + cache: strictly fewer backend fan-outs than jobs.
-            fanouts = counters.get("service.backend_fanouts", 0)
-            assert fanouts < report.accepted
+            # Dedup + cache: strictly fewer computed jobs than jobs.
+            assert metrics["latency_ms"]["computed"]["count"] < report.accepted
             assert counters["service.cache_hits"] >= 2  # the warm cells
             if report.deduplicated:
                 assert counters["service.dedup_hits"] >= 1
 
-            # Cache-hit jobs are fast: p95 under 100ms.
-            cache_latency = metrics["latency_ms"]["cache"]
-            assert cache_latency["count"] >= 2
-            assert cache_latency["p95_ms"] < 100.0
+            # Cache hits take the fast path: each completed at submit,
+            # never entered the queue and never reached the backend.
+            # (serve-mix's service.cache_p50_ms measures their latency.)
+            hits = [
+                record
+                for record in service.scheduler.jobs()
+                if record.source == "cache"
+            ]
+            assert len(hits) >= 2
+            for record in hits:
+                assert record.state == "done"
+                assert record.queue_wait_ms is None
+                assert record.started_us is None
+                assert record.attempts == 0
+                request = record.request
+                assert (request.workload, request.method, request.gpu) not in (
+                    computed_cells
+                )
 
             # Phase 3: graceful drain loses zero accepted jobs.
             manifest, clean = service.drain(timeout=60.0)
