@@ -942,6 +942,7 @@ class EvaluationHarness:
         fault_plan: FaultPlan | None = None,
         progress: Callable[[TaskOutcome], None] | None = None,
         crash_in_process: bool = False,
+        manifest: bool = True,
     ) -> list[AppRunResult | KernelSelection | CellFailure | None]:
         """Compute independent (workload, method, gpu) cells, in order.
 
@@ -971,6 +972,8 @@ class EvaluationHarness:
         Every sweep writes a manifest (quarantined cells, failure causes,
         completed cells) to ``last_manifest`` and, when a cache is
         configured, to ``<cache>/manifests/<sweep_id>.json``.
+        ``manifest=False`` skips it: the serving layer runs one job per
+        call and accounts for its jobs in its own drain manifest.
 
         ``progress`` is a **job-granular** completion hook: it receives
         each cell's :class:`~repro.sim.parallel.TaskOutcome` as soon as
@@ -1078,7 +1081,8 @@ class EvaluationHarness:
             "harness.cells_completed",
             len(results) - len(failures) - skipped,
         )
-        self._record_manifest(labels, failures, approx)
+        if manifest:
+            self._record_manifest(labels, failures, approx)
         if strict and first_failed is not None:
             if first_failed.exception is not None:
                 raise first_failed.failure.to_error() from first_failed.exception

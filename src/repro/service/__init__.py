@@ -2,8 +2,9 @@
 
 Turns the batch-oriented :class:`~repro.analysis.harness.
 EvaluationHarness` into an interactive job server: typed jobs with a
-small lifecycle, a bounded fair queue, a single-flight batching
-scheduler that exploits the content-addressed run cache, a stdlib JSON
+small lifecycle, a bounded fair queue, a single-flight scheduler that
+runs one job per free seat and exploits the content-addressed run
+cache, a stdlib JSON
 HTTP API, a polling client, and a seeded load generator.  Dependency-
 free, like everything else in the repo.
 

@@ -97,7 +97,8 @@ def run_job_cell(
     (default: the harness's) decides the retries, and an injected hang
     sleeps for the harness policy's hang time, so it outlasts the job's
     deadline.  ``crash_in_process`` makes an injected crash kill this
-    process, as a fleet worker's must.
+    process, as a fleet worker's must.  No sweep manifest is written per
+    job; the service's drain manifest accounts for every job.
     """
     plan = None
     if fault is not None:
@@ -113,6 +114,7 @@ def run_job_cell(
         fault_plan=plan,
         crash_in_process=crash_in_process,
         progress=decided.append,
+        manifest=False,
     )
     if isinstance(result, CellFailure):
         return result, result.attempts

@@ -126,6 +126,22 @@ class TestDispatch:
         assert [record.state for record in records] == ["done"] * 3
         assert calls == [1, 1, 1]
 
+    def test_jobs_write_no_sweep_manifest(self, cached_harness):
+        """A served job is not a sweep: the drain manifest accounts for
+        it, so computing jobs leaves <cache>/manifests/ empty."""
+        scheduler = Scheduler(cached_harness)
+        scheduler.start()
+        records = [
+            scheduler.submit(JobRequest(workload=w, method="silicon"))[0]
+            for w in ("gauss_208", "histo")
+        ]
+        for record in records:
+            _wait_terminal(record)
+        scheduler.close()
+        assert [record.source for record in records] == ["computed"] * 2
+        manifests = cached_harness.run_cache.root / "manifests"
+        assert not list(manifests.glob("*.json"))
+
 
 class TestCacheFastPath:
     def test_warm_cache_completes_without_queue_or_dispatch(self, tmp_path):
