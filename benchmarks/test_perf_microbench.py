@@ -6,19 +6,31 @@ the windowed engine, PKP-monitored kernels (one that stabilises, one
 that never does), k-means clustering at PKS
 scale, the TBPoint merge tree, and the analytic silicon model — plus
 wall-clock records for the execution backends (serial versus process
-pool) and the on-disk run cache (cold versus warm corpus sweep).
+pool), the on-disk run cache (cold versus warm corpus sweep) and the
+semantic cache's observe path.
 """
 
 from __future__ import annotations
 
 import time
+from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.analysis import EvaluationHarness
+from repro.analysis import semcache
+from repro.analysis.persistence import RunCache
 from repro.core import PKPConfig, run_pkp
-from repro.gpu import InstructionMix, KernelLaunch, KernelSpec, VOLTA_V100
+from repro.gpu import (
+    AMPERE_A100,
+    InstructionMix,
+    KernelLaunch,
+    KernelSpec,
+    TURING_RTX2060,
+    VOLTA_V100,
+)
 from repro.mlkit import KMeans, build_merge_tree
 from repro.sim import (
     ProcessPoolBackend,
@@ -222,6 +234,82 @@ def test_parallel_prefetch_is_identical_at_scale(jobs):
     serial = Simulator(VOLTA_V100).run_full("distinct", launches)
     pooled = Simulator(VOLTA_V100, backend=jobs).run_full("distinct", launches)
     assert pooled == serial
+
+
+# ---------------------------------------------------------------------------
+# Approximate-tier learning.
+# ---------------------------------------------------------------------------
+
+
+def test_tier_observe_cost(tmp_path, monkeypatch, record_property):
+    """Each semantic-cache observe renders only the donor it adds.
+
+    480 synthetic donors over 6 ``method@gpu`` partitions, each capped
+    at the default 64 apps, so the last 96 observes also evict.  Every
+    persist writes the whole state document, but each donor entry's JSON
+    text is rendered once and reused, so renders equal observes — where
+    dumping the whole document on each observe would render one entry
+    per donor held, over 100,000 in all.  The wall time is recorded,
+    not bounded.
+    """
+    renders = 0
+
+    class CountingEntry(semcache._AppEntry):
+        @cached_property
+        def text(self) -> str:
+            nonlocal renders
+            renders += 1
+            return super().text
+
+    monkeypatch.setattr(semcache, "_AppEntry", CountingEntry)
+    # The synthetic donors are their own kernel groups.
+    monkeypatch.setattr(
+        semcache, "_group_launches", lambda launches, generation, max_groups: launches
+    )
+    tier = semcache.SemanticCache(
+        semcache.SemanticCacheConfig(), RunCache(tmp_path), "microbench"
+    )
+    rng = np.random.default_rng(0)
+    slots = [
+        (method, gpu)
+        for method in ("full_sim", "pka_sim")
+        for gpu in (VOLTA_V100, TURING_RTX2060, AMPERE_A100)
+    ]
+    observes = 480
+    t0 = time.perf_counter()
+    for n in range(observes):
+        method, gpu = slots[n % len(slots)]
+        rows = [
+            semcache._GroupRow(
+                counters=tuple(float(v) for v in rng.uniform(1.0, 1e6, size=12)),
+                warp_instructions=1e5,
+                launches=4,
+            )
+            for _ in range(3)
+        ]
+        tier.observe(
+            workload=f"synthetic{n}",
+            method=method,
+            gpu=gpu,
+            launches=rows,
+            digest=f"{n:064x}",
+            result=SimpleNamespace(
+                total_cycles=4e5, total_instructions=3e5, total_dram_bytes=1e6
+            ),
+        )
+    seconds = time.perf_counter() - t0
+    snapshot = tier.snapshot()
+    assert snapshot["observations"] == observes
+    assert snapshot["partitions"] == len(slots)
+    assert snapshot["index_apps"] == len(slots) * 64
+    assert renders == observes
+    record_property("observes", observes)
+    record_property("renders", renders)
+    record_property("observe_ms", round(seconds / observes * 1e3, 3))
+    print(
+        f"\nsemcache observe: {observes} observes, {renders} entry renders, "
+        f"{seconds / observes * 1e3:.3f} ms each"
+    )
 
 
 # ---------------------------------------------------------------------------

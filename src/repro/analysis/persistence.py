@@ -30,7 +30,7 @@ import sys
 import tempfile
 import threading
 import warnings
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -449,7 +449,7 @@ class NullRunCache:
     def get_state(self, kind: str, context: str) -> dict | None:
         return None
 
-    def put_state(self, kind: str, context: str, document: dict) -> None:
+    def put_state(self, kind: str, context: str, document: dict | str) -> None:
         return None
 
     def state_mtime(self, kind: str, context: str) -> float | None:
@@ -655,7 +655,7 @@ class RunCache:
         self,
         key: str,
         path: Path,
-        document: dict,
+        document: dict | Callable[[], dict],
         *,
         indent: int | None = None,
         text: str | None = None,
@@ -664,9 +664,10 @@ class RunCache:
 
         The one writer of entries, manifests and tier state.  ``text``,
         when given, is the document already rendered as
-        ``json.dumps(document, sort_keys=True)``.  A store that cannot
-        write degrades to the in-memory overlay under ``key``.  True
-        when the document reached disk.
+        ``json.dumps(document, sort_keys=True)``; then ``document`` may
+        be a callable that builds it, called only if the store degrades
+        to the in-memory overlay under ``key``.  True when the document
+        reached disk.
         """
         if not self.degraded:
             if text is None:
@@ -688,7 +689,7 @@ class RunCache:
                     except OSError:
                         pass
                 self._degrade(exc)
-        self._memory[key] = document
+        self._memory[key] = document() if callable(document) else document
         return False
 
     def _write(self, digest: str, kind: str, payload) -> None:
@@ -866,29 +867,39 @@ class RunCache:
             return None
         return payload
 
-    def put_state(self, kind: str, context: str, document: dict) -> None:
+    def put_state(self, kind: str, context: str, document: dict | str) -> None:
         """Persist one tier's state for one context, atomically.
 
-        Lives under ``<root>/<kind>/`` — outside the two-hex entry
-        directories, so like manifests it is never counted against
-        ``max_bytes`` nor LRU-evicted.
+        ``document`` is the payload, or its text already rendered as
+        ``json.dumps(payload, sort_keys=True)`` (the approximate tiers
+        assemble theirs from pieces rendered once); a text is parsed
+        only if the write falls back to memory.  Lives under
+        ``<root>/<kind>/`` — outside the two-hex entry directories, so
+        like manifests it is never counted against ``max_bytes`` nor
+        LRU-evicted.
         """
-        # Render the payload once: its text is both what the checksum
-        # hashes and what the envelope embeds (keys in sorted order, so
-        # the file is exactly ``json.dumps(envelope, sort_keys=True)``).
-        payload = json.dumps(document, sort_keys=True)
+        # One payload text is both what the checksum hashes and what the
+        # envelope embeds (keys in sorted order, so the file is exactly
+        # ``json.dumps(envelope, sort_keys=True)``).
+        if isinstance(document, str):
+            payload = document
+        else:
+            payload = json.dumps(document, sort_keys=True)
         checksum = self._payload_checksum(payload)
-        envelope = {
-            "kind": f"{kind}_state",
-            "schema": CACHE_SCHEMA_VERSION,
-            "payload": document,
-            "sha256": checksum,
-        }
         text = (
-            f'{{"kind": {json.dumps(envelope["kind"])}, "payload": {payload}, '
+            f'{{"kind": {json.dumps(f"{kind}_state")}, "payload": {payload}, '
             f'"schema": {json.dumps(CACHE_SCHEMA_VERSION)}, '
             f'"sha256": {json.dumps(checksum)}}}'
         )
+
+        def envelope() -> dict:
+            return {
+                "kind": f"{kind}_state",
+                "schema": CACHE_SCHEMA_VERSION,
+                "payload": json.loads(payload) if isinstance(document, str) else document,
+                "sha256": checksum,
+            }
+
         self._store(
             f"{kind}:{context}", self._state_path(kind, context), envelope, text=text
         )

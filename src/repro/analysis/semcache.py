@@ -42,11 +42,13 @@ same method, GPU config and harness context fingerprint.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from repro.approx import ApproxTier
+from repro.approx import ApproxTier, json_object
 from repro.core.features import FeaturePipeline
 from repro.errors import ReproError
 from repro.gpu.kernels import KernelLaunch
@@ -148,7 +150,11 @@ class _GroupRow:
 
 @dataclass
 class _AppEntry:
-    """One donor application inside a partition."""
+    """One donor application inside a partition.
+
+    Never changed once built (a re-ingested digest gets a new entry), so
+    its state renders once, on the first persist that holds it.
+    """
 
     workload: str
     digest: str
@@ -157,6 +163,28 @@ class _AppEntry:
     total_warp_instructions: float
     total_launches: int
     rows: list[_GroupRow] = field(default_factory=list)
+
+    @cached_property
+    def text(self) -> str:
+        """The entry's persisted state, as ``json.dumps(..., sort_keys=True)``."""
+        return json.dumps(
+            {
+                "workload": self.workload,
+                "cycles_rate": self.cycles_rate,
+                "dram_rate": self.dram_rate,
+                "total_warp_instructions": self.total_warp_instructions,
+                "total_launches": self.total_launches,
+                "rows": [
+                    {
+                        "counters": list(row.counters),
+                        "warp_instructions": row.warp_instructions,
+                        "launches": row.launches,
+                    }
+                    for row in self.rows
+                ],
+            },
+            sort_keys=True,
+        )
 
 
 def _group_launches(
@@ -360,6 +388,10 @@ class SemanticCache(ApproxTier):
             total_launches=total_launches,
             rows=rows,
         )
+        self._trim(partition)
+
+    def _trim(self, partition: dict[str, _AppEntry]) -> None:
+        """Evict the oldest donors past ``max_apps_per_partition``."""
         while len(partition) > self.config.max_apps_per_partition:
             partition.pop(next(iter(partition)))
 
@@ -393,26 +425,9 @@ class SemanticCache(ApproxTier):
                     )
                 except (KeyError, TypeError, ValueError):
                     continue  # one malformed donor must not poison the index
+            self._trim(partition)
 
-    def _dump_partitions(self) -> dict:
-        return {
-            key: {
-                digest: {
-                    "workload": entry.workload,
-                    "cycles_rate": entry.cycles_rate,
-                    "dram_rate": entry.dram_rate,
-                    "total_warp_instructions": entry.total_warp_instructions,
-                    "total_launches": entry.total_launches,
-                    "rows": [
-                        {
-                            "counters": list(row.counters),
-                            "warp_instructions": row.warp_instructions,
-                            "launches": row.launches,
-                        }
-                        for row in entry.rows
-                    ],
-                }
-                for digest, entry in partition.items()
-            }
-            for key, partition in self._partitions.items()
-        }
+    def _render_partition(self, partition: dict[str, _AppEntry]) -> str:
+        return json_object(
+            (digest, entry.text) for digest, entry in partition.items()
+        )

@@ -21,15 +21,27 @@ decision lives here, once:
   the mtime-gated load-and-merge / persist of that document through the
   run cache's ``get_state``/``put_state``/``state_mtime``.
 
+An observe costs what it adds, not what the tier holds.  Donor entries
+and training rows never change once built, so each renders its JSON
+text once and keeps it; a persist joins those texts under sorted keys
+(:func:`json_object`) into the exact bytes of
+``json.dumps(document, sort_keys=True)`` and hands the text to
+``put_state``.  What stays proportional to the state is the join, the
+checksum and the file write, not the encoding.  The consult after an
+observe is cheap too: the prediction tiers' learned surrogate refits
+(five SGD fits) only for a query whose every kernel group it covers,
+because the coverage gate reads the training rows, not the model.
+
 A subclass supplies the decision (:meth:`ApproxTier._price`), the
 ingest of a computed run (:meth:`ApproxTier._ingest`), its partition
-(de)serialisation and the tier-specific fields of its snapshot.
+merge and rendering and the tier-specific fields of its snapshot.
 """
 
 from __future__ import annotations
 
+import json
 import threading
-from typing import Callable
+from collections.abc import Callable, Iterable
 
 from repro.gpu.architectures import GPUConfig
 from repro.gpu.kernels import KernelLaunch
@@ -37,13 +49,20 @@ from repro.obs import obs_count
 from repro.sim.simulator import ModelErrorConfig
 from repro.sim.stats import AppRunResult
 
-__all__ = ["ApproxTier", "ObservedError"]
+__all__ = ["ApproxTier", "ObservedError", "json_object"]
 
 #: Answers a tier remembers for observed-error feedback, oldest dropped
 #: first, so a long-lived server's map stays bounded.  A ``serve-mix``
 #: benchmark run answers 192-199 of its 650 jobs by a tier (seeds 1-7),
 #: so none of its answers is dropped before its ground truth can land.
 MAX_PREDICTIONS = 4096
+
+
+def json_object(items: Iterable[tuple[str, str]]) -> str:
+    """A JSON object from ``(key, rendered value)`` pairs: exactly
+    ``json.dumps`` of the parsed values' dict with ``sort_keys=True``."""
+    members = ", ".join(f"{json.dumps(key)}: {text}" for key, text in sorted(items))
+    return f"{{{members}}}"
 
 
 class ObservedError:
@@ -287,7 +306,8 @@ class ApproxTier:
         """Merge a persisted ``partitions`` document into memory."""
         raise NotImplementedError
 
-    def _dump_partitions(self) -> dict:
+    def _render_partition(self, partition) -> str:
+        """One partition's state as ``json.dumps(state, sort_keys=True)``."""
         raise NotImplementedError
 
     # -- persistence -------------------------------------------------------
@@ -309,13 +329,16 @@ class ApproxTier:
         self._merge_partitions(document.get("partitions", {}))
 
     def _persist(self) -> None:
-        self.run_cache.put_state(
-            self.kind,
-            self.context,
-            {
-                "version": self.state_version,
-                "context": self.context,
-                "partitions": self._dump_partitions(),
-            },
+        partitions = json_object(
+            (key, self._render_partition(partition))
+            for key, partition in self._partitions.items()
         )
+        document = json_object(
+            [
+                ("context", json.dumps(self.context)),
+                ("partitions", partitions),
+                ("version", json.dumps(self.state_version)),
+            ]
+        )
+        self.run_cache.put_state(self.kind, self.context, document)
         self._state_mtime = self.run_cache.state_mtime(self.kind, self.context)

@@ -17,11 +17,18 @@ row in mean-absolute log-counter distance (the same interpretable metric
 the semantic cache uses).  Distance to the nearest row additionally
 widens the per-kernel error term, so extrapolation pays for itself in
 bound width rather than in silent violations.
+
+Coverage needs only the training rows' log counters, not a model: the
+surrogate keeps that matrix on its own, so a caller gates on
+:meth:`CycleSurrogate.distance` first and an uncovered query never pays
+for the (lazy, deterministic) refit.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -34,9 +41,10 @@ _OOF_FOLDS = 4
 
 
 class TrainingRow:
-    """One observed kernel group: counters plus realized log residual."""
+    """One observed kernel group: counters plus realized log residual.
 
-    __slots__ = ("counters", "log_residual")
+    Never changed once built, so its state renders once (:attr:`text`).
+    """
 
     def __init__(self, counters: tuple[float, ...], log_residual: float) -> None:
         self.counters = tuple(float(v) for v in counters)
@@ -47,6 +55,11 @@ class TrainingRow:
             "counters": list(self.counters),
             "log_residual": self.log_residual,
         }
+
+    @cached_property
+    def text(self) -> str:
+        """:meth:`to_state` as ``json.dumps(..., sort_keys=True)``."""
+        return json.dumps(self.to_state(), sort_keys=True)
 
     @classmethod
     def from_state(cls, state: dict) -> "TrainingRow":
@@ -60,7 +73,8 @@ class CycleSurrogate:
     """Online-fit residual regressor with out-of-fold error tracking.
 
     ``add_row`` appends observations and marks the model dirty; fitting
-    is lazy (first prediction after new data) and deterministic — the
+    is lazy (first :attr:`oof_error` or :meth:`predict` after new data,
+    never :meth:`distance`) and deterministic — the
     regressor's seed is fixed and rows are kept in arrival order, so
     every process that loads the same persisted rows refits the same
     model.  ``oof_error`` is the maximum out-of-fold relative cycle
@@ -86,7 +100,19 @@ class CycleSurrogate:
             return
         self.rows.append(TrainingRow(counters, log_residual))
         del self.rows[: max(0, len(self.rows) - self.max_rows)]
+        self._changed()
+
+    def _changed(self) -> None:
         self._dirty = True
+        self._log_matrix = None
+
+    def _logs(self) -> np.ndarray:
+        """The training rows' ``log1p`` counters, rebuilt after a change."""
+        if self._log_matrix is None:
+            self._log_matrix = np.log1p(
+                np.asarray([row.counters for row in self.rows], dtype=np.float64)
+            )
+        return self._log_matrix
 
     @property
     def trained(self) -> bool:
@@ -99,18 +125,14 @@ class CycleSurrogate:
     def _fit_if_dirty(self) -> None:
         if not self._dirty or not self.trained:
             return
-        matrix = np.asarray(
-            [row.counters for row in self.rows], dtype=np.float64
-        )
         targets = np.asarray(
             [row.log_residual for row in self.rows], dtype=np.float64
         )
-        logs = np.log1p(matrix)
-        self._log_matrix = logs
+        logs = self._logs()
         self._mean = logs.mean(axis=0)
         std = logs.std(axis=0)
         self._std = np.where(std > 0, std, 1.0)
-        features = self._features(matrix)
+        features = (logs - self._mean) / self._std
 
         # Out-of-fold: fold k is predicted by a model fit on the other
         # folds.  Deterministic (index % K), so refits reproduce.
@@ -138,24 +160,26 @@ class CycleSurrogate:
         self._fit_if_dirty()
         return self._oof_error
 
-    def predict(
-        self, counters: tuple[float, ...]
-    ) -> tuple[float, float] | None:
-        """(residual ratio, nearest-row distance) for one kernel group.
+    def distance(self, counters: tuple[float, ...]) -> float | None:
+        """Mean-absolute log-counter distance from one kernel group to the
+        nearest training row — the caller's coverage gate and
+        bound-widening term.  None until enough rows have been observed;
+        never fits the model.
+        """
+        if not self.trained:
+            return None
+        query = np.log1p(np.asarray(counters, dtype=np.float64))
+        return float(np.abs(self._logs() - query).mean(axis=1).min())
 
-        The ratio multiplies the analytical cycle estimate; the distance
-        is mean-absolute log-counter distance to the nearest training
-        row — the caller's coverage gate and bound-widening term.
-        Returns None until enough rows have been observed.
+    def predict(self, counters: tuple[float, ...]) -> float | None:
+        """Residual ratio for one kernel group: it multiplies the
+        analytical cycle estimate.  None until enough rows have been
+        observed.
         """
         if not self.trained:
             return None
         self._fit_if_dirty()
-        assert self._model is not None and self._log_matrix is not None
-        query = np.log1p(np.asarray(counters, dtype=np.float64))
-        distance = float(
-            np.abs(self._log_matrix - query).mean(axis=1).min()
-        )
+        assert self._model is not None
         features = self._features(
             np.asarray([counters], dtype=np.float64)
         )
@@ -163,12 +187,14 @@ class CycleSurrogate:
         # A runaway extrapolation must not produce absurd cycle totals;
         # the residuals this model sees are fractions of a log unit.
         log_residual = float(np.clip(log_residual, -2.0, 2.0))
-        return math.exp(log_residual), distance
+        return math.exp(log_residual)
 
     # -- persistence ------------------------------------------------------
 
-    def to_state(self) -> dict:
-        return {"rows": [row.to_state() for row in self.rows]}
+    def render(self) -> str:
+        """The persisted state ``{"rows": [...]}`` as
+        ``json.dumps(..., sort_keys=True)``, from each row's own text."""
+        return f'{{"rows": [{", ".join(row.text for row in self.rows)}]}}'
 
     @classmethod
     def from_state(
@@ -191,5 +217,5 @@ class CycleSurrogate:
         for row in other.rows:
             if (row.counters, row.log_residual) not in seen:
                 self.rows.append(row)
-                self._dirty = True
+                self._changed()
         del self.rows[: max(0, len(self.rows) - self.max_rows)]

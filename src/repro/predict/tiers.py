@@ -35,10 +35,11 @@ on its own output.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
-from repro.approx import ApproxTier
+from repro.approx import ApproxTier, json_object
 from repro.errors import ReproError
 from repro.gpu.architectures import GPUConfig
 from repro.gpu.kernels import KernelLaunch
@@ -275,25 +276,26 @@ class PredictTiers(ApproxTier):
         Coverage gate: every query group must lie within
         ``coverage_radius`` of a training row; an uncovered group makes
         the whole tier ineligible (the analytical tier may still serve).
+        The gate reads only the training rows, so an uncovered query
+        never pays for a refit.
         """
         from repro.sim.perfmodel import KERNEL_LAUNCH_OVERHEAD
 
         surrogate = partition.surrogate
-        if not surrogate.trained:
+        distances = [surrogate.distance(group.counters) for group in estimate.groups]
+        radius = self.config.coverage_radius
+        if any(distance is None or distance > radius for distance in distances):
             return None
         oof = surrogate.oof_error
         if oof is None:
             return None
         total = 0.0
         quad = 0.0
-        for group, share in zip(
-            estimate.groups, estimate.shares(), strict=True
+        for group, share, distance in zip(
+            estimate.groups, estimate.shares(), distances, strict=True
         ):
-            predicted = surrogate.predict(group.counters)
-            if predicted is None:
-                return None
-            ratio, distance = predicted
-            if distance > self.config.coverage_radius:
+            ratio = surrogate.predict(group.counters)
+            if ratio is None:
                 return None
             corrected = group.cycles * ratio
             total += group.count * (corrected + KERNEL_LAUNCH_OVERHEAD)
@@ -358,11 +360,13 @@ class PredictTiers(ApproxTier):
                 partition.calibration.merge(calibration)
                 partition.surrogate.merge(surrogate)
 
-    def _dump_partitions(self) -> dict:
-        return {
-            key: {
-                "calibration": partition.calibration.to_state(),
-                "surrogate": partition.surrogate.to_state(),
-            }
-            for key, partition in self._partitions.items()
-        }
+    def _render_partition(self, partition: _Partition) -> str:
+        return json_object(
+            [
+                (
+                    "calibration",
+                    json.dumps(partition.calibration.to_state(), sort_keys=True),
+                ),
+                ("surrogate", partition.surrogate.render()),
+            ]
+        )

@@ -29,13 +29,20 @@ This module provides
   matrix), against which the distinct-row tree is checked;
 * :class:`ReferenceLaunchBuilder` / :func:`reference_perturb_launches` —
   the list-based launch builder and near-duplicate derivation, against
-  which the launch table's materialised launches are checked.
+  which the launch table's materialised launches are checked;
+* :func:`reference_state_text` — an approximate tier's state file dumped
+  whole from its partitions, against which the state assembled from
+  texts rendered once is checked;
+* :class:`ReferenceCycleSurrogate` / :func:`reference_surrogate_estimate`
+  — the surrogate estimate that fits before it checks coverage, against
+  which the coverage-first estimate is checked.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
+import json
 import math
 import struct
 import zlib
@@ -45,6 +52,7 @@ from random import Random
 
 import numpy as np
 
+from repro.analysis.persistence import CACHE_SCHEMA_VERSION
 from repro.baselines.tbpoint import (
     _THRESHOLD_SWEEP,
     TBPointSelection,
@@ -55,9 +63,10 @@ from repro.core.features import FeaturePipeline, profile_feature_matrix
 from repro.core.pkp import IPCStabilityMonitor
 from repro.errors import ReproError
 from repro.gpu.kernels import KernelLaunch, KernelSpec
-from repro.mlkit import ClusteringCapacityError, MergeTree
+from repro.mlkit import ClusteringCapacityError, MergeTree, SGDRegressor
 from repro.mlkit._checks import require_finite
 from repro.mlkit.hierarchical import _LINKAGES
+from repro.predict.surrogate import CycleSurrogate
 from repro.profiling.detailed import DetailedProfile
 from repro.sim import engine
 from repro.sim.engine import KernelSimResult, WindowSample, fold_chunk_ranges
@@ -65,6 +74,7 @@ from repro.sim.stats import AppRunResult, KernelRecord
 from repro.workloads.spec import _jittered
 
 __all__ = [
+    "ReferenceCycleSurrogate",
     "ReferenceLaunchBuilder",
     "ReferenceStabilityMonitor",
     "assert_bitwise_equal",
@@ -75,6 +85,8 @@ __all__ = [
     "reference_launches_digest",
     "reference_perturb_launches",
     "reference_select_tbpoint",
+    "reference_state_text",
+    "reference_surrogate_estimate",
     "reference_windowed_engine",
     "scalar_engine",
 ]
@@ -827,3 +839,176 @@ def reference_perturb_launches(
             )
         )
     return out
+
+
+# ---------------------------------------------------------------------------
+# Whole-document references for approximate-tier state.
+# ---------------------------------------------------------------------------
+# ``SemanticCache._dump_partitions``, ``PredictTiers._dump_partitions`` and
+# ``CycleSurrogate.to_state`` as they stood before tier state was assembled
+# from texts rendered once: every persist dumped every partition, donor
+# and training row again.  Only the names differ.
+
+
+def _reference_semcache_partitions(self) -> dict:
+    return {
+        key: {
+            digest: {
+                "workload": entry.workload,
+                "cycles_rate": entry.cycles_rate,
+                "dram_rate": entry.dram_rate,
+                "total_warp_instructions": entry.total_warp_instructions,
+                "total_launches": entry.total_launches,
+                "rows": [
+                    {
+                        "counters": list(row.counters),
+                        "warp_instructions": row.warp_instructions,
+                        "launches": row.launches,
+                    }
+                    for row in entry.rows
+                ],
+            }
+            for digest, entry in partition.items()
+        }
+        for key, partition in self._partitions.items()
+    }
+
+
+def _reference_surrogate_state(self) -> dict:
+    return {"rows": [row.to_state() for row in self.rows]}
+
+
+def _reference_predict_partitions(self) -> dict:
+    return {
+        key: {
+            "calibration": partition.calibration.to_state(),
+            "surrogate": _reference_surrogate_state(partition.surrogate),
+        }
+        for key, partition in self._partitions.items()
+    }
+
+
+def reference_state_text(tier) -> str:
+    """The state file ``tier`` must have written, as ``put_state`` wrote
+    the envelope of the whole-dumped document."""
+    dump = {
+        "semcache": _reference_semcache_partitions,
+        "predict": _reference_predict_partitions,
+    }[tier.kind]
+    document = {
+        "version": tier.state_version,
+        "context": tier.context,
+        "partitions": dump(tier),
+    }
+    payload = json.dumps(document, sort_keys=True)
+    return json.dumps(
+        {
+            "kind": f"{tier.kind}_state",
+            "schema": CACHE_SCHEMA_VERSION,
+            "payload": document,
+            "sha256": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
+        },
+        sort_keys=True,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Fit-first reference for the surrogate estimate.
+# ---------------------------------------------------------------------------
+# ``CycleSurrogate._fit_if_dirty`` / ``predict`` and
+# ``PredictTiers._surrogate_estimate`` as they stood before coverage was
+# checked ahead of the fit: the out-of-fold error is read (fitting five
+# models) before any group's distance is known.  Only the names differ.
+
+_REFERENCE_OOF_FOLDS = 4
+
+
+class ReferenceCycleSurrogate(CycleSurrogate):
+    """A surrogate whose fit builds the distance matrix and whose
+    ``predict`` returns ``(ratio, distance)``."""
+
+    def _fit_if_dirty(self) -> None:
+        if not self._dirty or not self.trained:
+            return
+        matrix = np.asarray(
+            [row.counters for row in self.rows], dtype=np.float64
+        )
+        targets = np.asarray(
+            [row.log_residual for row in self.rows], dtype=np.float64
+        )
+        logs = np.log1p(matrix)
+        self._log_matrix = logs
+        self._mean = logs.mean(axis=0)
+        std = logs.std(axis=0)
+        self._std = np.where(std > 0, std, 1.0)
+        features = self._features(matrix)
+
+        # Out-of-fold: fold k is predicted by a model fit on the other
+        # folds.  Deterministic (index % K), so refits reproduce.
+        folds = np.arange(len(self.rows)) % _REFERENCE_OOF_FOLDS
+        oof = 0.0
+        for fold in range(_REFERENCE_OOF_FOLDS):
+            train = folds != fold
+            test = ~train
+            if not test.any() or train.sum() < 2:
+                continue
+            model = SGDRegressor().fit(features[train], targets[train])
+            predicted = model.predict(features[test])
+            # Relative cycle error implied by the log-residual miss.
+            errors = np.abs(np.expm1(predicted - targets[test]))
+            oof = max(oof, float(errors.max()))
+        self._oof_error = oof
+        self._model = SGDRegressor().fit(features, targets)
+        self._dirty = False
+
+    def predict(
+        self, counters: tuple[float, ...]
+    ) -> tuple[float, float] | None:
+        if not self.trained:
+            return None
+        self._fit_if_dirty()
+        assert self._model is not None and self._log_matrix is not None
+        query = np.log1p(np.asarray(counters, dtype=np.float64))
+        distance = float(
+            np.abs(self._log_matrix - query).mean(axis=1).min()
+        )
+        features = self._features(
+            np.asarray([counters], dtype=np.float64)
+        )
+        log_residual = float(self._model.predict(features)[0])
+        # A runaway extrapolation must not produce absurd cycle totals;
+        # the residuals this model sees are fractions of a log unit.
+        log_residual = float(np.clip(log_residual, -2.0, 2.0))
+        return math.exp(log_residual), distance
+
+
+def reference_surrogate_estimate(self, partition, estimate):
+    """``self`` carries the predict config; ``partition.surrogate`` is a
+    :class:`ReferenceCycleSurrogate`."""
+    from repro.sim.perfmodel import KERNEL_LAUNCH_OVERHEAD
+
+    surrogate = partition.surrogate
+    if not surrogate.trained:
+        return None
+    oof = surrogate.oof_error
+    if oof is None:
+        return None
+    total = 0.0
+    quad = 0.0
+    for group, share in zip(
+        estimate.groups, estimate.shares(), strict=True
+    ):
+        predicted = surrogate.predict(group.counters)
+        if predicted is None:
+            return None
+        ratio, distance = predicted
+        if distance > self.config.coverage_radius:
+            return None
+        corrected = group.cycles * ratio
+        total += group.count * (corrected + KERNEL_LAUNCH_OVERHEAD)
+        term = oof + self.config.lipschitz * distance
+        quad += (share * term) ** 2
+    bound = self.config.error_floor + self.config.safety_factor * math.sqrt(
+        quad
+    )
+    return bound, total

@@ -411,3 +411,30 @@ class TestNearestDonorSearch:
             )
             result, _bound, _by = _price(tier, near)
         assert result.transferred_from == ("merged",)
+
+    def test_merges_respect_the_partition_cap(self):
+        """A reload that merges donors trims the partition first-in
+        first-out, as an ingest does, so a process that only merges
+        (a fleet coordinator) keeps a bounded index."""
+        config = SemanticCacheConfig(max_apps_per_partition=2)
+        tier = SemanticCache(config, run_cache=None, context="merge-cap")
+        key = f"{METHOD}@{V100.name}"
+        donor = {
+            "workload": "merged",
+            "cycles_rate": 2.0,
+            "dram_rate": 1.0,
+            "total_warp_instructions": 1000.0,
+            "total_launches": 1,
+            "rows": [
+                {"counters": [10.0] * 12, "warp_instructions": 1000.0, "launches": 1}
+            ],
+        }
+        for batch in range(2):
+            tier._merge_partitions(
+                {key: {f"digest-{batch}-{n}": donor for n in range(5)}}
+            )
+            assert list(tier._partitions[key]) == [
+                f"digest-{batch}-3",
+                f"digest-{batch}-4",
+            ]
+        assert tier.snapshot()["index_apps"] == 2
