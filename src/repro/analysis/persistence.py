@@ -18,11 +18,17 @@ configs, and a code-version salt).  Every run in this reproduction is
 deterministic, so a cache hit is *exactly* the result a recompute would
 produce — repeated benchmark sweeps and cross-process fan-outs reuse
 prior work instead of re-simulating the corpus.
+
+Everything PKA persists — run-cache entries, the launch memo, tier
+state, sweep manifests and job-journal lines — is one sealed record
+(:func:`seal` / :func:`unseal`), and every file is replaced whole by
+:func:`atomic_write`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import enum
 import hashlib
 import json
 import os
@@ -53,8 +59,10 @@ __all__ = [
     "SELECTION_FORMAT_VERSION",
     "CacheDegradedWarning",
     "NullRunCache",
+    "Rejection",
     "RunCache",
     "RunKey",
+    "atomic_write",
     "dump_run",
     "dump_selection",
     "fingerprint",
@@ -66,6 +74,8 @@ __all__ = [
     "resolve_run_cache",
     "run_digest",
     "save_selection",
+    "seal",
+    "unseal",
 ]
 
 SELECTION_FORMAT_VERSION = 1
@@ -126,6 +136,8 @@ def load_selection(text: str) -> KernelSelection:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ReproError(f"not a selection document: {exc}") from exc
+    if not isinstance(document, dict):
+        raise ReproError("not a selection document: not a JSON object")
     if document.get("version") != SELECTION_FORMAT_VERSION:
         raise ReproError(
             f"unsupported selection version {document.get('version')!r}"
@@ -235,6 +247,8 @@ def load_run(text: str) -> AppRunResult:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ReproError(f"not a run document: {exc}") from exc
+    if not isinstance(document, dict):
+        raise ReproError("not a run document: not a JSON object")
     if document.get("version") != RUN_FORMAT_VERSION:
         raise ReproError(f"unsupported run version {document.get('version')!r}")
     try:
@@ -405,6 +419,85 @@ def run_digest(
 
 
 # ---------------------------------------------------------------------------
+# Sealed records: the one envelope and the one atomic writer.
+# ---------------------------------------------------------------------------
+
+
+class Rejection(enum.Enum):
+    """Why :func:`unseal` refused a record; the value is a readable reason."""
+
+    UNDECODABLE = "undecodable record"
+    FOREIGN_SCHEMA = "foreign schema"
+    WRONG_KIND = "wrong kind"
+    CHECKSUM_MISMATCH = "payload checksum mismatch"
+
+
+def seal(kind: str, payload_text: str, *, inline: bool = False) -> str:
+    """``payload_text`` in the checksummed envelope every durable record uses.
+
+    The record is ``json.dumps({"kind", "payload", "schema", "sha256"},
+    sort_keys=True)``: ``schema`` is :data:`CACHE_SCHEMA_VERSION` and
+    ``sha256`` hashes ``payload_text``.  The payload is embedded as a
+    JSON string, or with ``inline`` as the JSON value ``payload_text``
+    renders, which must then be ``json.dumps(value, sort_keys=True)``.
+    A record is one line.
+    """
+    payload = payload_text if inline else json.dumps(payload_text)
+    return (
+        f'{{"kind": {json.dumps(kind)}, "payload": {payload}, '
+        f'"schema": {CACHE_SCHEMA_VERSION}, "sha256": "{_sha256(payload_text)}"}}'
+    )
+
+
+def unseal(text: str | bytes, kind: str):
+    """The payload :func:`seal` wrapped as ``kind``, or the
+    :class:`Rejection` that refuses ``text``; never raises.
+
+    A string payload comes back as its text, an inline one as its
+    decoded JSON value.  Each caller decides what a rejection costs.
+    """
+    try:
+        envelope = json.loads(text)
+        if not isinstance(envelope, dict):
+            return Rejection.UNDECODABLE
+        if envelope.get("schema") != CACHE_SCHEMA_VERSION:
+            return Rejection.FOREIGN_SCHEMA
+        if envelope.get("kind") != kind:
+            return Rejection.WRONG_KIND
+        payload = envelope.get("payload")
+        if isinstance(payload, str):
+            rendered = payload
+        else:
+            rendered = json.dumps(payload, sort_keys=True)
+        if payload is None or envelope.get("sha256") != _sha256(rendered):
+            return Rejection.CHECKSUM_MISMATCH
+    except (ValueError, RecursionError):
+        # Not JSON, not UTF-8, or a string holding a lone surrogate.
+        return Rejection.UNDECODABLE
+    return payload
+
+
+def atomic_write(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file in the same
+    directory and ``os.replace``, so a reader sees the old file or the
+    new one, never a torn one.  Raises OSError, leaving no temp file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    handle, tmp_name = tempfile.mkstemp(
+        prefix=f".{path.stem[:8]}.", suffix=".tmp", dir=path.parent
+    )
+    try:
+        with os.fdopen(handle, "w", encoding="utf-8") as stream:
+            stream.write(text)
+        os.replace(tmp_name, path)
+    except OSError:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
+# ---------------------------------------------------------------------------
 # The on-disk store.
 # ---------------------------------------------------------------------------
 
@@ -465,8 +558,8 @@ class RunCache:
     Entries live at ``<root>/<digest[:2]>/<digest>.json`` and are written
     atomically (temp file + rename), so concurrent processes sharing one
     cache directory can only ever observe complete entries.  Every entry
-    carries an integrity envelope — a schema-version stamp plus a sha256
-    checksum of its payload — that is verified on read.  A corrupted or
+    is a sealed record (:func:`seal`) — a schema-version stamp plus a
+    sha256 checksum of its payload — that is verified on read.  A corrupted or
     truncated entry — a killed writer on a non-atomic filesystem, a
     stray editor, bit rot — is treated as a miss and **quarantined**
     (moved to ``<root>/quarantine/`` and recorded in
@@ -478,10 +571,10 @@ class RunCache:
     vanished mount — must not abort the sweep that was trying to
     checkpoint into it.  The first failed write emits one
     :class:`CacheDegradedWarning` and flips the store into **degraded
-    mode**: entries land in an in-process dictionary instead, reads
-    check that overlay before disk, and the sweep carries on with plain
-    memoization semantics.  Sweep manifests (quarantine records written
-    by ``evaluate_cells``) share the same fallback.
+    mode**: records land in an in-process dictionary instead, holding
+    the sealed text a file would, reads check that overlay before disk,
+    and the sweep carries on with plain memoization semantics.  Sweep
+    manifests and tier state share the same fallback.
 
     **Concurrency.**  Any number of processes and threads may share one
     cache directory.  Entry and manifest writes are atomic renames of
@@ -521,7 +614,8 @@ class RunCache:
         #: manifest so operators can see what bit-rotted.
         self.quarantine_log: list[dict] = []
         self.degraded = False
-        self._memory: dict[str, dict] = {}
+        #: Degraded mode's stand-in for the disk: path -> sealed text.
+        self._memory: dict[Path, str] = {}
         self._tally_lock = threading.Lock()
         try:
             self.root.mkdir(parents=True, exist_ok=True)
@@ -543,10 +637,10 @@ class RunCache:
     # Every hit/miss/write/quarantine goes through one of these helpers so
     # the instance tallies and the tracer counters can never disagree.
 
-    def _note_hit(self, n: int = 1) -> None:
+    def _note_hit(self) -> None:
         with self._tally_lock:
-            self.hits += n
-        obs_count("cache.hits", n)
+            self.hits += 1
+        obs_count("cache.hits")
 
     def _note_miss(self) -> None:
         with self._tally_lock:
@@ -572,6 +666,7 @@ class RunCache:
         miss and recomputes.
         """
         path = self._path(digest)
+        self._memory.pop(path, None)
         destination = self._quarantine_path(digest)
         try:
             destination.parent.mkdir(parents=True, exist_ok=True)
@@ -588,39 +683,42 @@ class RunCache:
             self.quarantine_log.append({"digest": digest, "reason": reason})
         obs_count("cache.quarantined")
 
-    @staticmethod
-    def _payload_checksum(payload) -> str:
-        text = (
-            payload
-            if isinstance(payload, str)
-            else json.dumps(payload, sort_keys=True)
-        )
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-    def _read(self, digest: str, kind: str):
-        overlay = self._memory.get(digest)
-        if overlay is not None:
-            if overlay.get("kind") != kind:
-                self._note_miss()
+    def _load(self, path: Path, kind: str):
+        """What :func:`unseal` makes of the record at ``path`` (the
+        overlay's copy once degraded), or None when there is none."""
+        text = self._memory.get(path)
+        if text is None:
+            try:
+                text = path.read_bytes()
+            except FileNotFoundError:
                 return None
-            self._note_hit()
-            return overlay["payload"]
+            except OSError:
+                return Rejection.UNDECODABLE
+        return unseal(text, kind)
+
+    def _store(self, path: Path, text: str) -> bool:
+        """Write the sealed ``text`` to ``path`` atomically; True when it
+        reached disk.  The one writer of entries, manifests and tier
+        state: a failed write degrades the store, and the record lands
+        in the in-memory overlay, which :meth:`_load` reads like a file.
+        """
+        if not self.degraded:
+            try:
+                atomic_write(path, text)
+                return True
+            except OSError as exc:
+                self._degrade(exc)
+        self._memory[path] = text
+        return False
+
+    def _read(self, digest: str, kind: str, load: Callable[[str], object]):
+        """One entry of ``kind`` restored by ``load``, or None (a miss)."""
         path = self._path(digest)
-        try:
-            document = json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            self._note_miss()
-            return None
-        except (OSError, ValueError):
-            # Unreadable or not even JSON: a truncated writer or bit rot.
-            self._note_miss()
-            self.quarantine_entry(digest, "undecodable entry document")
-            return None
-        if document.get("schema") != CACHE_SCHEMA_VERSION:
+        payload = self._load(path, kind)
+        if payload is Rejection.FOREIGN_SCHEMA:
             # A different schema is not corruption — it is an entry some
             # other code version wrote under a colliding digest.  Refuse
             # it and recompute (the rewrite lands at this digest).
-            self._note_miss()
             with self._tally_lock:
                 self.schema_mismatches += 1
             obs_count("cache.schema_mismatches")
@@ -628,19 +726,20 @@ class RunCache:
                 path.unlink()
             except OSError:
                 pass
-            return None
-        if document.get("kind") != kind:
+            payload = None
+        elif isinstance(payload, Rejection):
+            self.quarantine_entry(digest, payload.value)
+            payload = None
+        if payload is None:
             self._note_miss()
-            self.quarantine_entry(
-                digest,
-                f"kind {document.get('kind')!r} where {kind!r} was expected",
-            )
             return None
-        payload = document.get("payload")
-        checksum = document.get("sha256")
-        if payload is None or checksum != self._payload_checksum(payload):
+        try:
+            value = load(payload)
+        except (ReproError, TypeError):
+            # Checksum matched but the document does not deserialize: the
+            # *writer* was broken, not the disk.  Still quarantine it.
             self._note_miss()
-            self.quarantine_entry(digest, "payload checksum mismatch")
+            self.quarantine_entry(digest, f"{kind} payload failed to deserialize")
             return None
         if self.max_bytes is not None:
             try:
@@ -649,57 +748,10 @@ class RunCache:
             except OSError:
                 pass
         self._note_hit()
-        return payload
+        return value
 
-    def _store(
-        self,
-        key: str,
-        path: Path,
-        document: dict | Callable[[], dict],
-        *,
-        indent: int | None = None,
-        text: str | None = None,
-    ) -> bool:
-        """Write ``document`` to ``path`` atomically (temp file + rename).
-
-        The one writer of entries, manifests and tier state.  ``text``,
-        when given, is the document already rendered as
-        ``json.dumps(document, sort_keys=True)``; then ``document`` may
-        be a callable that builds it, called only if the store degrades
-        to the in-memory overlay under ``key``.  True when the document
-        reached disk.
-        """
-        if not self.degraded:
-            if text is None:
-                text = json.dumps(document, sort_keys=True, indent=indent)
-            tmp_name = None
-            try:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                handle, tmp_name = tempfile.mkstemp(
-                    prefix=f".{path.stem[:8]}.", suffix=".tmp", dir=path.parent
-                )
-                with os.fdopen(handle, "w", encoding="utf-8") as stream:
-                    stream.write(text)
-                os.replace(tmp_name, path)
-                return True
-            except OSError as exc:
-                if tmp_name is not None:
-                    try:
-                        os.unlink(tmp_name)
-                    except OSError:
-                        pass
-                self._degrade(exc)
-        self._memory[key] = document() if callable(document) else document
-        return False
-
-    def _write(self, digest: str, kind: str, payload) -> None:
-        document = {
-            "kind": kind,
-            "schema": CACHE_SCHEMA_VERSION,
-            "payload": payload,
-            "sha256": self._payload_checksum(payload),
-        }
-        if self._store(digest, self._path(digest), document) and (
+    def _write(self, digest: str, kind: str, payload_text: str) -> None:
+        if self._store(self._path(digest), seal(kind, payload_text)) and (
             self.max_bytes is not None
         ):
             self._maybe_evict(protect=digest)
@@ -765,73 +817,37 @@ class RunCache:
     # -- typed entry points ----------------------------------------------
 
     def get_run(self, digest: str) -> AppRunResult | None:
-        payload = self._read(digest, "app_run")
-        if payload is None:
-            return None
-        try:
-            return load_run(payload)
-        except ReproError:
-            # Checksum matched but the document does not deserialize: the
-            # *writer* was broken, not the disk.  Still quarantine it.
-            self._note_hit(-1)
-            self._note_miss()
-            self._memory.pop(digest, None)
-            self.quarantine_entry(digest, "run payload failed to deserialize")
-            return None
+        return self._read(digest, "app_run", load_run)
 
     def put_run(self, digest: str, result: AppRunResult) -> None:
         self._write(digest, "app_run", dump_run(result))
 
     def get_selection(self, digest: str) -> KernelSelection | None:
-        payload = self._read(digest, "selection")
-        if payload is None:
-            return None
-        try:
-            return load_selection(payload)
-        except ReproError:
-            self._note_hit(-1)
-            self._note_miss()
-            self._memory.pop(digest, None)
-            self.quarantine_entry(
-                digest, "selection payload failed to deserialize"
-            )
-            return None
+        return self._read(digest, "selection", load_selection)
 
     def put_selection(self, digest: str, selection: KernelSelection) -> None:
         self._write(digest, "selection", dump_selection(selection))
 
-    # -- sweep manifests --------------------------------------------------
+    # -- sweep manifests and approximate-tier state -----------------------
+
+    # Both live outside the two-hex entry directories, so they are never
+    # counted against ``max_bytes`` nor LRU-evicted, and both are derived
+    # data: a rejected record simply reads as None.
 
     def _manifest_path(self, sweep_id: str) -> Path:
         return self.root / "manifests" / f"{sweep_id}.json"
 
     def get_manifest(self, sweep_id: str) -> dict | None:
         """The last recorded manifest of one sweep, or None."""
-        overlay = self._memory.get(f"manifest:{sweep_id}")
-        if overlay is not None:
-            return overlay["payload"]
-        try:
-            document = json.loads(
-                self._manifest_path(sweep_id).read_text(encoding="utf-8")
-            )
-            if not isinstance(document, dict):
-                return None
-            if document.get("kind") != "sweep_manifest":
-                return None
-            return document["payload"]
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
+        manifest = self._load(self._manifest_path(sweep_id), "sweep_manifest")
+        return manifest if isinstance(manifest, dict) else None
 
     def put_manifest(self, sweep_id: str, document: dict) -> None:
         """Record a sweep's completion/quarantine state, atomically."""
+        text = json.dumps(document, sort_keys=True)
         self._store(
-            f"manifest:{sweep_id}",
-            self._manifest_path(sweep_id),
-            {"kind": "sweep_manifest", "payload": document},
-            indent=2,
+            self._manifest_path(sweep_id), seal("sweep_manifest", text, inline=True)
         )
-
-    # -- approximate-tier state -------------------------------------------
 
     def _state_path(self, kind: str, context: str) -> Path:
         return self.root / kind / f"{context[:32]}.json"
@@ -840,68 +856,24 @@ class RunCache:
         """One approximate tier's state for one harness context, or None.
 
         ``kind`` names the tier (``semcache``, ``predict``); its state
-        lives at ``<root>/<kind>/<context[:32]>.json`` in an envelope of
-        kind ``<kind>_state`` with the same schema stamp and payload
-        checksum as run entries.  A corrupt, foreign-schema or
-        other-kind state is simply discarded — tier state is derived
-        data and rebuilds itself.
+        lives at ``<root>/<kind>/<context[:32]>.json``, sealed inline as
+        kind ``<kind>_state``.
         """
-        overlay = self._memory.get(f"{kind}:{context}")
-        if overlay is not None:
-            return overlay["payload"]
-        try:
-            document = json.loads(
-                self._state_path(kind, context).read_text(encoding="utf-8")
-            )
-        except (OSError, ValueError):
-            return None
-        if not isinstance(document, dict):
-            return None
-        payload = document.get("payload")
-        if (
-            document.get("kind") != f"{kind}_state"
-            or document.get("schema") != CACHE_SCHEMA_VERSION
-            or payload is None
-            or document.get("sha256") != self._payload_checksum(payload)
-        ):
-            return None
-        return payload
+        state = self._load(self._state_path(kind, context), f"{kind}_state")
+        return state if isinstance(state, dict) else None
 
     def put_state(self, kind: str, context: str, document: dict | str) -> None:
         """Persist one tier's state for one context, atomically.
 
         ``document`` is the payload, or its text already rendered as
         ``json.dumps(payload, sort_keys=True)`` (the approximate tiers
-        assemble theirs from pieces rendered once); a text is parsed
-        only if the write falls back to memory.  Lives under
-        ``<root>/<kind>/`` — outside the two-hex entry directories, so
-        like manifests it is never counted against ``max_bytes`` nor
-        LRU-evicted.
+        assemble theirs from pieces rendered once).
         """
-        # One payload text is both what the checksum hashes and what the
-        # envelope embeds (keys in sorted order, so the file is exactly
-        # ``json.dumps(envelope, sort_keys=True)``).
-        if isinstance(document, str):
-            payload = document
-        else:
-            payload = json.dumps(document, sort_keys=True)
-        checksum = self._payload_checksum(payload)
-        text = (
-            f'{{"kind": {json.dumps(f"{kind}_state")}, "payload": {payload}, '
-            f'"schema": {json.dumps(CACHE_SCHEMA_VERSION)}, '
-            f'"sha256": {json.dumps(checksum)}}}'
-        )
-
-        def envelope() -> dict:
-            return {
-                "kind": f"{kind}_state",
-                "schema": CACHE_SCHEMA_VERSION,
-                "payload": json.loads(payload) if isinstance(document, str) else document,
-                "sha256": checksum,
-            }
-
+        if not isinstance(document, str):
+            document = json.dumps(document, sort_keys=True)
         self._store(
-            f"{kind}:{context}", self._state_path(kind, context), envelope, text=text
+            self._state_path(kind, context),
+            seal(f"{kind}_state", document, inline=True),
         )
 
     def state_mtime(self, kind: str, context: str) -> float | None:

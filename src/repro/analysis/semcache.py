@@ -323,11 +323,14 @@ class SemanticCache(ApproxTier):
 
     # -- the transfer decision -------------------------------------------
 
-    def _price(self, *, workload, method, gpu, launches, model_error):
+    def _summarize(self, launches, gpu, model_error):
+        return _group_launches(launches, gpu.generation, self.config.max_groups)
+
+    def _price(self, *, workload, method, gpu, summary):
         partition = self._partitions.get(self._partition_key(method, gpu))
         if not partition:
             return "coverage"
-        query = _group_launches(launches, gpu.generation, self.config.max_groups)
+        query = summary()
         total_mass = sum(row.warp_instructions for row in query)
         if not query or total_mass <= 0:
             return "coverage"
@@ -370,12 +373,11 @@ class SemanticCache(ApproxTier):
     # -- index growth -----------------------------------------------------
 
     def _ingest(
-        self, *, workload, method, gpu, launches, digest, result, model_error,
-        kernel_cycles,
+        self, *, workload, method, gpu, summary, digest, result, kernel_cycles
     ) -> None:
         """Index one computed run as a donor (FIFO-capped per partition)."""
         partition = self._partitions.setdefault(self._partition_key(method, gpu), {})
-        rows = _group_launches(launches, gpu.generation, self.config.max_groups)
+        rows = summary()
         total_launches = sum(row.launches for row in rows)
         overhead = KERNEL_LAUNCH_OVERHEAD * total_launches
         partition[digest] = _AppEntry(

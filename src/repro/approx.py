@@ -17,6 +17,11 @@ decision lives here, once:
   digest (the latest :data:`MAX_PREDICTIONS` of them), and when a
   computed ground truth later lands on that digest the realized error
   is recorded against the advertised bound;
+* one summary per computed cell: an escalated consult keeps the tier's
+  summary of the cell's launches (:meth:`ApproxTier._summarize`, as
+  many as :data:`MAX_PREDICTIONS`) for the observe of the same digest,
+  so the launches are summarized once, not once to price and again to
+  learn;
 * ``method@gpu`` partitions inside one per-context state document, and
   the mtime-gated load-and-merge / persist of that document through the
   run cache's ``get_state``/``put_state``/``state_mtime``.
@@ -32,13 +37,16 @@ observe is cheap too: the prediction tiers' learned surrogate refits
 (five SGD fits) only for a query whose every kernel group it covers,
 because the coverage gate reads the training rows, not the model.
 
-A subclass supplies the decision (:meth:`ApproxTier._price`), the
-ingest of a computed run (:meth:`ApproxTier._ingest`), its partition
+A subclass supplies the summary of a cell's launches
+(:meth:`ApproxTier._summarize`), the decision
+(:meth:`ApproxTier._price`), the ingest of a computed run
+(:meth:`ApproxTier._ingest`), its partition
 merge and rendering and the tier-specific fields of its snapshot.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import threading
 from collections.abc import Callable, Iterable
@@ -51,11 +59,19 @@ from repro.sim.stats import AppRunResult
 
 __all__ = ["ApproxTier", "ObservedError", "json_object"]
 
-#: Answers a tier remembers for observed-error feedback, oldest dropped
-#: first, so a long-lived server's map stays bounded.  A ``serve-mix``
-#: benchmark run answers 192-199 of its 650 jobs by a tier (seeds 1-7),
-#: so none of its answers is dropped before its ground truth can land.
+#: Answers a tier remembers for observed-error feedback, and escalated
+#: cells' summaries it keeps for their observe, oldest dropped first, so
+#: a long-lived server's maps stay bounded.  A ``serve-mix`` benchmark
+#: run answers 192-199 of its 650 jobs by a tier (seeds 1-7), so none of
+#: its answers is dropped before its ground truth can land.
 MAX_PREDICTIONS = 4096
+
+
+def _remember(table: dict, key: str, value) -> None:
+    """``table[key] = value``, dropping the oldest past MAX_PREDICTIONS."""
+    table[key] = value
+    if len(table) > MAX_PREDICTIONS:
+        del table[next(iter(table))]
 
 
 def json_object(items: Iterable[tuple[str, str]]) -> str:
@@ -136,6 +152,7 @@ class ApproxTier:
         self.context = context
         self._partitions: dict = {}
         self._predictions: dict[str, tuple[float, float]] = {}
+        self._summaries: dict[str, object] = {}
         self._lock = threading.RLock()
         self._loaded = False
         self._state_mtime: float | None = None
@@ -215,22 +232,19 @@ class ApproxTier:
             self._load_if_stale()
             self.lookups += 1
             obs_count(f"{self.kind}.lookups")
+            summary = self._summary(digest, launches, gpu, model_error)
             priced = self._price(
-                workload=workload,
-                method=method,
-                gpu=gpu,
-                launches=launches,
-                model_error=model_error,
+                workload=workload, method=method, gpu=gpu, summary=summary
             )
             if isinstance(priced, str):
+                if summary.cache_info().currsize:  # made while pricing
+                    _remember(self._summaries, digest, summary())
                 self.escalations_by[priced] += 1
                 obs_count(f"{self.kind}.escalations")
                 obs_count(f"{self.kind}.escalations_{priced}")
                 return None
             result, bound, by = priced
-            self._predictions[digest] = (result.total_cycles, bound)
-            if len(self._predictions) > MAX_PREDICTIONS:
-                del self._predictions[next(iter(self._predictions))]
+            _remember(self._predictions, digest, (result.total_cycles, bound))
             self.answers += 1
             obs_count(f"{self.kind}.{self.answers_key}")
             if by is not None:
@@ -274,15 +288,25 @@ class ApproxTier:
                 workload=workload,
                 method=method,
                 gpu=gpu,
-                launches=launches,
+                summary=self._summary(digest, launches, gpu, model_error),
                 digest=digest,
                 result=result,
-                model_error=model_error,
                 kernel_cycles=kernel_cycles,
             )
             self.observations += 1
             obs_count(f"{self.kind}.observations")
             self._persist()
+
+    def _summary(self, digest, launches, gpu, model_error) -> Callable:
+        """The cell's summary as a zero-argument callable made at most
+        once: the one an escalated consult kept for ``digest``, else
+        :meth:`_summarize` on first call (a decision may need none)."""
+        kept = self._summaries.pop(digest, None)
+        return functools.cache(
+            functools.partial(self._summarize, launches, gpu, model_error)
+            if kept is None
+            else lambda: kept
+        )
 
     # -- the subclass's decision and ingest --------------------------------
 
@@ -290,15 +314,19 @@ class ApproxTier:
         """Tier-specific snapshot fields (config knobs, state sizes)."""
         raise NotImplementedError
 
+    def _summarize(self, launches, gpu, model_error):
+        """What the tier reads of a cell's launches, to price or learn."""
+        raise NotImplementedError
+
     def _price(
-        self, *, workload, method, gpu, launches, model_error
+        self, *, workload, method, gpu, summary
     ) -> str | tuple[AppRunResult, float, str | None]:
-        """An escalation reason, or ``(answer, bound, answered_by)``."""
+        """An escalation reason, or ``(answer, bound, answered_by)``;
+        ``summary()`` yields the :meth:`_summarize` of the query."""
         raise NotImplementedError
 
     def _ingest(
-        self, *, workload, method, gpu, launches, digest, result, model_error,
-        kernel_cycles,
+        self, *, workload, method, gpu, summary, digest, result, kernel_cycles
     ) -> None:
         raise NotImplementedError
 

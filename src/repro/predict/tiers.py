@@ -179,8 +179,11 @@ class PredictTiers(ApproxTier):
 
     # -- the prediction decision ------------------------------------------
 
-    def _price(self, *, workload, method, gpu, launches, model_error):
-        estimate = price_app(launches, gpu, model_error)
+    def _summarize(self, launches, gpu, model_error):
+        return price_app(launches, gpu, model_error)
+
+    def _price(self, *, workload, method, gpu, summary):
+        estimate = summary()
         if not estimate.groups or estimate.total_cycles <= 0:
             return "coverage"
         partition = self._partitions.get(self._partition_key(method, gpu))
@@ -309,8 +312,7 @@ class PredictTiers(ApproxTier):
     # -- calibration growth -----------------------------------------------
 
     def _ingest(
-        self, *, workload, method, gpu, launches, digest, result, model_error,
-        kernel_cycles,
+        self, *, workload, method, gpu, summary, digest, result, kernel_cycles
     ) -> None:
         """Feed per-group residuals against the DES's memoized per-kernel
         cycles, keyed (spec signature, grid blocks), into the calibration
@@ -323,7 +325,7 @@ class PredictTiers(ApproxTier):
             self._partition_key(method, gpu), _Partition(self.config)
         )
         ingested = False
-        for group in price_app(launches, gpu, model_error).groups:
+        for group in summary().groups:
             truth = truths.get((group.signature, group.grid_blocks))
             if truth is None or truth <= 0 or group.cycles <= 0:
                 continue

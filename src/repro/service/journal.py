@@ -8,39 +8,38 @@ restart replays the journal, restores terminal jobs (answering their
 results from the run cache) and re-enqueues everything that never made
 it to a terminal state.  Nothing accepted is ever lost.
 
-Design mirrors the run cache's integrity envelope (:mod:`repro.analysis.
-persistence`): one JSON record per line, each carrying a ``sha256`` over
-the canonical rendering of its other fields.  A torn final line (the
-classic crash-mid-append artifact) or a bit-flipped record fails its
-checksum and is skipped with a counter rather than poisoning replay —
-the same quarantine-not-crash posture the cache takes with corrupt
-entries.
+Each line is one sealed record of kind ``journal``, the envelope the
+run cache's entries use (:func:`repro.analysis.persistence.seal`): the
+payload ``{"data", "event", "job_id", "ts"}`` inline, with the schema
+stamp and a ``sha256`` over the payload.  A torn final line (the classic
+crash-mid-append artifact), a bit-flipped record, a line that is not
+UTF-8 or one from a foreign schema is skipped with a counter rather than
+poisoning replay — the same quarantine-not-crash posture the cache takes
+with corrupt entries.
 
 Appends go through a single ``write + flush`` of one line under a lock,
 so concurrent scheduler threads interleave whole records.  Compaction
-(rewriting the journal to one summary record per live job) uses the
-cache's atomic temp-file + ``os.replace`` pattern so a crash mid-compact
-leaves either the old journal or the new one, never a hybrid.
+(rewriting the journal to one summary record per live job) goes through
+the cache's :func:`~repro.analysis.persistence.atomic_write`, so a crash
+mid-compact leaves either the old journal or the new one, never a hybrid.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import tempfile
 import threading
 import time
 from pathlib import Path
 from typing import Iterable
 
+from ..analysis.persistence import atomic_write, seal, unseal
 from ..obs import obs_count
 
-__all__ = ["JOURNAL_SCHEMA_VERSION", "JobJournal", "JournalRecord"]
+__all__ = ["JobJournal", "JournalRecord"]
 
-# Bumped whenever the record layout changes incompatibly; a journal from
-# a foreign schema is ignored on replay (counted, not crashed on).
-JOURNAL_SCHEMA_VERSION = 1
+#: The sealed-record kind of a journal line.
+KIND = "journal"
 
 # Events a record may carry, in lifecycle order.  "accepted" is written
 # before the submission response; "completed" carries the terminal state.
@@ -81,10 +80,9 @@ def lifecycles(
     ]
 
 
-def _checksum(document: dict) -> str:
-    """sha256 over the canonical JSON of ``document`` (sans envelope)."""
-    text = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def _line(record: dict) -> str:
+    """One journal line: ``record`` sealed inline."""
+    return seal(KIND, json.dumps(record, sort_keys=True), inline=True) + "\n"
 
 
 class JobJournal:
@@ -126,17 +124,9 @@ class JobJournal:
         """
         if event not in EVENTS:
             raise ValueError(f"unknown journal event {event!r}")
-        document = {
-            "schema": JOURNAL_SCHEMA_VERSION,
-            "event": event,
-            "job_id": job_id,
-            "ts": time.time(),
-            "data": data,
-        }
-        document["sha256"] = _checksum(
-            {k: v for k, v in document.items() if k != "sha256"}
+        line = _line(
+            {"event": event, "job_id": job_id, "ts": time.time(), "data": data}
         )
-        line = json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
         with self._lock:
             handle = self._ensure_handle()
             handle.write(line)
@@ -162,22 +152,21 @@ class JobJournal:
     def replay(self) -> list[JournalRecord]:
         """Read every intact record from disk, oldest first.
 
-        Corrupt records — torn final lines, checksum mismatches, foreign
-        schema versions — are skipped and counted, never raised: the
-        journal's job after a crash is to recover as much as it can.
-        Replaying also rebuilds the open-jobs (lag) accounting.
+        Corrupt records — torn final lines, checksum mismatches, bytes
+        that are not UTF-8, foreign schema versions — are skipped and
+        counted, never raised: the journal's job after a crash is to
+        recover as much as it can.  Each line is decoded on its own, so
+        one bad byte costs only its line.  Replaying also rebuilds the
+        open-jobs (lag) accounting.
         """
         records: list[JournalRecord] = []
         corrupt = 0
         try:
-            text = self.path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return records
+            data = self.path.read_bytes()
         except OSError:
             return records
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
+        for line in data.split(b"\n"):
+            if not line.strip():
                 continue
             record = self._parse_line(line)
             if record is None:
@@ -194,22 +183,13 @@ class JobJournal:
         return records
 
     @staticmethod
-    def _parse_line(line: str) -> JournalRecord | None:
-        try:
-            document = json.loads(line)
-        except (json.JSONDecodeError, ValueError):
-            return None
-        if not isinstance(document, dict):
-            return None
-        if document.get("schema") != JOURNAL_SCHEMA_VERSION:
-            return None
-        checksum = document.get("sha256")
-        body = {k: v for k, v in document.items() if k != "sha256"}
-        if checksum != _checksum(body):
-            return None
-        if document.get("event") not in EVENTS:
-            return None
-        if not isinstance(document.get("job_id"), str):
+    def _parse_line(line: bytes) -> JournalRecord | None:
+        document = unseal(line, KIND)
+        if (
+            not isinstance(document, dict)
+            or document.get("event") not in EVENTS
+            or not isinstance(document.get("job_id"), str)
+        ):
             return None
         return JournalRecord(document)
 
@@ -234,8 +214,8 @@ class JobJournal:
         record and, when the job is terminal, the latest ``completed``
         record — replaying the compacted journal reconstructs exactly the
         same job set as replaying the original.  The rewrite is atomic
-        (temp file + ``os.replace``) so a crash mid-compact cannot tear
-        the journal.
+        (:func:`~repro.analysis.persistence.atomic_write`) so a crash
+        mid-compact cannot tear the journal.
         """
         if records is None:
             records = self.replay()
@@ -245,27 +225,10 @@ class JobJournal:
             for record in lifecycle
             if record is not None
         ]
-        lines = [
-            json.dumps(dict(record), sort_keys=True, separators=(",", ":"))
-            for record in keep
-        ]
-        payload = "\n".join(lines) + ("\n" if lines else "")
+        text = "".join(_line(record) for record in keep)
         with self._lock:
             self._close_handle_locked()
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            handle, tmp_name = tempfile.mkstemp(
-                dir=self.path.parent, prefix=self.path.name, suffix=".tmp"
-            )
-            try:
-                with os.fdopen(handle, "w", encoding="utf-8") as tmp:
-                    tmp.write(payload)
-                os.replace(tmp_name, self.path)
-            except OSError:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
+            atomic_write(self.path, text)
             self._compactions += 1
             self._open_jobs = self._open_after(keep)
         obs_count("journal.compactions")

@@ -201,12 +201,11 @@ def _foreign_schema(path: Path) -> None:
 
 def _malformed_payload(path: Path) -> None:
     """A well-formed envelope whose facts are not facts."""
-    from repro.analysis.persistence import RunCache
+    from repro.analysis.persistence import seal
 
     document = json.loads(path.read_text(encoding="utf-8"))
-    document["payload"] = {"*": {"digest": 7, "launches": "many"}}
-    document["sha256"] = RunCache._payload_checksum(document["payload"])
-    path.write_text(json.dumps(document), encoding="utf-8")
+    payload = json.dumps({"*": {"digest": 7, "launches": "many"}}, sort_keys=True)
+    path.write_text(seal(document["kind"], payload, inline=True), encoding="utf-8")
 
 
 @pytest.mark.parametrize("damage", [_truncate, _foreign_schema, _malformed_payload])

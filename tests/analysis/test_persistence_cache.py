@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +66,8 @@ def test_load_run_rejects_garbage():
         load_run(json.dumps({"version": 999}))
     with pytest.raises(ReproError):
         load_run(json.dumps({"version": 1, "workload": "x"}))  # missing fields
+    with pytest.raises(ReproError):
+        load_run("[1]")  # JSON, but not an object
 
 
 # -- keys and digests --------------------------------------------------------
@@ -201,6 +204,68 @@ def test_corrupted_entry_recovers_by_recomputing(tmp_path):
     rewarmed = EvaluationHarness(cache_dir=tmp_path)
     assert rewarmed.evaluation(WORKLOAD).full_sim() == first
     assert rewarmed.run_cache.hits == 1
+
+
+#: One run entry and one selection entry as the cache wrote them before
+#: every record shared one codec, byte for byte: (kind, digest, file).
+PINNED_ENTRIES = [
+    (
+        "app_run",
+        "7bca471e2338769662d82b46d6f4299428e9b0acb8220864ad4c35919d1ec9de",
+        "run_entry.json",
+    ),
+    (
+        "selection",
+        "134bb98b581b3fe9b212ea6c4ca490b6339d7d5f6088db728aa2d34c4b8d7db5",
+        "selection_entry.json",
+    ),
+]
+ACCESSORS = {
+    "app_run": ("get_run", "put_run"),
+    "selection": ("get_selection", "put_selection"),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, digest, name", PINNED_ENTRIES, ids=[kind for kind, *_ in PINNED_ENTRIES]
+)
+def test_entry_file_is_the_plain_envelope_dump(tmp_path, kind, digest, name):
+    """An entry written before is a hit, and rewriting what it holds
+    writes the same bytes: the plain envelope dump with the payload
+    embedded as a string."""
+    text = (Path(__file__).parent / "data" / name).read_text(encoding="utf-8")
+    payload = json.loads(text)["payload"]
+    assert text == json.dumps(
+        {
+            "kind": kind,
+            "schema": CACHE_SCHEMA_VERSION,
+            "payload": payload,
+            "sha256": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
+        },
+        sort_keys=True,
+    )
+    get, put = ACCESSORS[kind]
+    old = RunCache(tmp_path / "old")
+    old._path(digest).parent.mkdir(parents=True)
+    old._path(digest).write_text(text, encoding="utf-8")
+    value = getattr(old, get)(digest)
+    assert value is not None
+    assert (old.hits, old.misses, old.quarantined) == (1, 0, 0)
+
+    new = RunCache(tmp_path / "new")
+    getattr(new, put)(digest, value)
+    assert new._path(digest).read_text(encoding="utf-8") == text
+
+
+def test_sealed_payload_that_is_not_a_run_is_quarantined(tmp_path):
+    """A sound envelope around a payload no run loads from: the writer
+    was broken, so the entry is a quarantined miss, not a crash."""
+    cache = RunCache(tmp_path)
+    digest = "ab" * 32
+    cache._write(digest, "app_run", "[1]")
+    assert cache.get_run(digest) is None
+    assert (cache.misses, cache.quarantined) == (1, 1)
+    assert cache.quarantine_log[0]["reason"] == "app_run payload failed to deserialize"
 
 
 def test_wrong_kind_entry_is_a_miss(tmp_path):

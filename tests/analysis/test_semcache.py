@@ -265,19 +265,18 @@ def _ingest(tier: SemanticCache, name: str, rows: list[_GroupRow]) -> None:
         workload=name,
         method=METHOD,
         gpu=V100,
-        launches=rows,
+        summary=lambda: rows,
         digest=f"digest-{name}",
         result=SimpleNamespace(
             total_cycles=3.0 * mass, total_instructions=mass, total_dram_bytes=mass
         ),
-        model_error=None,
         kernel_cycles=None,
     )
 
 
 def _price(tier: SemanticCache, query: list[_GroupRow]):
     return tier._price(
-        workload="query", method=METHOD, gpu=V100, launches=query, model_error=None
+        workload="query", method=METHOD, gpu=V100, summary=lambda: query
     )
 
 

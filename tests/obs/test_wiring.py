@@ -132,7 +132,7 @@ class TestCacheCounters:
     def test_quarantine_reported(self, tmp_path):
         obs.enable()
         cache = RunCache(tmp_path)
-        cache._write("ab" * 32, "app_run", {"bogus": True})
+        cache._write("ab" * 32, "app_run", '{"bogus": true}')
         entry_path = cache._path("ab" * 32)
         entry_path.write_text("not json at all", encoding="utf-8")
         assert cache.get_run("ab" * 32) is None

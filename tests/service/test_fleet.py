@@ -630,6 +630,22 @@ class TestCoordinatorRecovery:
         assert clean
         assert all(r.state == "done" for r in records.values())
 
+    def test_restart_over_a_high_bit_flip_recovers_every_intact_job(self, tmp_path):
+        journal_path = tmp_path / "journal.jsonl"
+        harness = EvaluationHarness(backend="serial", cache_dir=tmp_path / "cache")
+        sched1 = Scheduler(harness, journal=JobJournal(journal_path))
+        for workload in (WORKLOAD, "histo", "fdtd2d"):
+            sched1.submit(JobRequest(workload=workload, method="silicon"))
+        data = bytearray(journal_path.read_bytes())
+        data[5] ^= 0x80  # the first record is no longer UTF-8
+        journal_path.write_bytes(bytes(data))
+
+        journal = JobJournal(journal_path)
+        sched2 = Scheduler(harness, journal=journal)
+        assert sorted(r.request.workload for r in sched2.jobs()) == ["fdtd2d", "histo"]
+        assert sched2.queue.depth == 2
+        assert journal.stats()["corrupt_skipped"] == 1
+
     def test_duplicate_submission_after_recovery_attaches(self, tmp_path):
         journal_path = tmp_path / "journal.jsonl"
         harness = EvaluationHarness(backend="serial", cache_dir=tmp_path / "cache")

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
 from repro import obs
 from repro.analysis.harness import EvaluationHarness
+from repro.analysis.persistence import CACHE_SCHEMA_VERSION
 from repro.service import JobRequest, PKAService, ServiceClient
-from repro.service.journal import JOURNAL_SCHEMA_VERSION, JobJournal
+from repro.service.journal import JobJournal
 
 
 @pytest.fixture(autouse=True)
@@ -48,7 +50,8 @@ class TestRoundTrip:
         journal.close()
         for line in journal_path.read_text().splitlines():
             document = json.loads(line)
-            assert document["schema"] == JOURNAL_SCHEMA_VERSION
+            assert document["kind"] == "journal"
+            assert document["schema"] == CACHE_SCHEMA_VERSION
             assert len(document["sha256"]) == 64
 
     def test_unknown_event_rejected(self, journal_path):
@@ -99,7 +102,7 @@ class TestCrashArtifacts:
         journal.close()
         line = journal_path.read_text()
         document = json.loads(line)
-        document["schema"] = JOURNAL_SCHEMA_VERSION + 1
+        document["schema"] = CACHE_SCHEMA_VERSION + 1
         journal_path.write_text(json.dumps(document) + "\n" + line)
         fresh = JobJournal(journal_path)
         records = fresh.replay()
@@ -147,6 +150,28 @@ class TestCompaction:
             for r in JobJournal(journal_path).replay()
         }
         assert before == after
+
+    def test_failed_compaction_leaves_the_old_journal(self, journal_path, monkeypatch):
+        journal = JobJournal(journal_path)
+        journal.append("accepted", "j-1")
+        journal.append("started", "j-1")
+        before = journal_path.read_bytes()
+
+        def refuse(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError):
+            journal.compact()
+        monkeypatch.undo()
+        assert journal_path.read_bytes() == before
+        assert list(journal_path.parent.iterdir()) == [journal_path]  # no temp file
+        journal.append("completed", "j-1", state="done")
+        assert [r.event for r in JobJournal(journal_path).replay()] == [
+            "accepted",
+            "started",
+            "completed",
+        ]
 
     def test_append_after_compact_lands_in_new_file(self, journal_path):
         journal = JobJournal(journal_path)
